@@ -1,7 +1,6 @@
 """Influence, isoperimetry and SDP-lifting analysis on Cartesian powers
 of weighted graphs."""
 
-from ._accel import active_backend
 from .functions import (Decomposition, FunctionTable, check_l2_l1_bounds,
                         dictator, efron_stein_check, from_values, parity,
                         random_boolean)
@@ -17,7 +16,7 @@ from .influence import (InfluenceReport, JuntaResult, corollary_check,
                         main_lemma_check)
 from .isoperimetry import (ChainReport, LogSobolevEstimate, ScalingReport,
                            chain_check, conductance_bruteforce,
-                           conductance_functional, cut_ratio,
+                           conductance_functional, cut_ratio, cut_ratios,
                            log_sobolev_estimate, product_scaling_report,
                            witness_ratio)
 from .sdp import (LocalDistributions, SdpSolution, SetVectorSolution,

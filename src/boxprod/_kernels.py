@@ -1,190 +1,121 @@
-"""Hot numeric kernels, each in an njit and a pure-numpy variant.
+"""Hot numeric kernels, in numpy.
 
 Two loops dominate runtime: the exhaustive cut scan over all 2^n vertex
-subsets (Gray-code incremental updates in the njit variant, chunked
-bit-matrix evaluation in the numpy one) and the exhaustive scan of
-ordered vertex triples for squared-distance triangle violations.
+subsets and the exhaustive scan of ordered vertex triples for
+squared-distance triangle violations.
 
-Both variants of a kernel feed the same exact-recompute selection step,
-so results agree across backends to the stated tolerances.
+The subset scan is approximate by design: it only has to keep every
+exact minimizer among its candidates.  The caller re-evaluates the
+candidates with one canonical formula, so the reported value and
+witness do not depend on the scan's rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit
-
 SCAN_SLACK = 1e-11
 CANDIDATE_CAP = 1 << 16
+# largest temporary of the subset scan, in entries
+SCAN_BLOCK_ENTRIES = 1 << 20
 
 
 # -- subset cut scan ----------------------------------------------------------
 
-@njit(cache=True)
-def _gray_min_ratio(n, indptr, nbr, wts, pi):
-    total = np.int64(1) << n
-    in_s = np.zeros(n, dtype=np.bool_)
-    cut = 0.0
-    vol = 0.0
-    size = 0
-    best = np.inf
-    for i in range(1, total):
-        b = i & (-i)
-        v = 0
-        while (np.int64(1) << v) != b:
-            v += 1
-        if in_s[v]:
-            for p in range(indptr[v], indptr[v + 1]):
-                if in_s[nbr[p]]:
-                    cut += wts[p]
-                else:
-                    cut -= wts[p]
-            in_s[v] = False
-            vol -= pi[v]
-            size -= 1
-        else:
-            for p in range(indptr[v], indptr[v + 1]):
-                if in_s[nbr[p]]:
-                    cut -= wts[p]
-                else:
-                    cut += wts[p]
-            in_s[v] = True
-            vol += pi[v]
-            size += 1
-        if size == 0 or size == n:
-            continue
-        ratio = 0.25 * cut / (vol * (1.0 - vol))
-        if ratio < best:
-            best = ratio
-    return best
+def _subset_bits(k):
+    """Row i holds the indicator of subset mask i of k vertices."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
 
 
-@njit(cache=True)
-def _gray_candidates(n, indptr, nbr, wts, pi, threshold, out):
-    total = np.int64(1) << n
-    in_s = np.zeros(n, dtype=np.bool_)
-    cut = 0.0
-    vol = 0.0
-    size = 0
+def _ratio_blocks(graph):
+    """Yield (masks, ratios) for every subset holding vertex 0, a block
+    of rows at a time, by meet in the middle (Horowitz & Sahni 1974).
+
+    With L = 2 * graph.laplacian, the weighted combinatorial Laplacian,
+    the cut of an indicator b is b^T L b.  Splitting b into the low
+    vertices A and the high vertices C gives, for all subsets at once,
+    cut = qA[:, None] + qC[None, :] + b_A^T (2 L_AC) b_C, and the
+    volumes of S and of its complement separate the same way.  Rows are
+    the low-half subsets holding vertex 0, columns all high-half subsets.
+    """
+    n = graph.n
+    h = (n + 1) // 2
+    lap = 2.0 * graph.laplacian
+    low = _subset_bits(h)[1::2]
+    high = _subset_bits(n - h)
+    low_masks = np.arange(1, 1 << h, 2, dtype=np.int64)
+    high_masks = np.arange(1 << (n - h), dtype=np.int64) << h
+    q_low = np.einsum("ij,jk,ik->i", low, lap[:h, :h], low)
+    q_high = np.einsum("ij,jk,ik->i", high, lap[h:, h:], high)
+    cross = low @ (2.0 * lap[:h, h:])
+    vol_low, vol_high = low @ graph.pi[:h], high @ graph.pi[h:]
+    rest_low, rest_high = (1.0 - low) @ graph.pi[:h], (1.0 - high) @ graph.pi[h:]
+    step = max(1, SCAN_BLOCK_ENTRIES // len(high_masks))
+    for start in range(0, len(low_masks), step):
+        rows = slice(start, start + step)
+        cut = cross[rows] @ high.T
+        cut += q_low[rows, None]
+        cut += q_high
+        den = vol_low[rows, None] + vol_high
+        den *= rest_low[rows, None] + rest_high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(cut, den, out=cut)
+        cut *= 0.25
+        if start + step >= len(low_masks):
+            # the full vertex set: its complement has no volume
+            cut[-1, -1] = np.inf
+        yield low_masks[rows, None] | high_masks, cut
+
+
+def _collect(graph, threshold):
+    """Masks holding vertex 0 whose scanned ratio is at most threshold."""
+    hits = []
     count = 0
-    for i in range(1, total):
-        b = i & (-i)
-        v = 0
-        while (np.int64(1) << v) != b:
-            v += 1
-        if in_s[v]:
-            for p in range(indptr[v], indptr[v + 1]):
-                if in_s[nbr[p]]:
-                    cut += wts[p]
-                else:
-                    cut -= wts[p]
-            in_s[v] = False
-            vol -= pi[v]
-            size -= 1
-        else:
-            for p in range(indptr[v], indptr[v + 1]):
-                if in_s[nbr[p]]:
-                    cut -= wts[p]
-                else:
-                    cut += wts[p]
-            in_s[v] = True
-            vol += pi[v]
-            size += 1
-        if size == 0 or size == n:
-            continue
-        ratio = 0.25 * cut / (vol * (1.0 - vol))
-        if ratio <= threshold:
-            if count < out.shape[0]:
-                out[count] = i ^ (i >> 1)
-            count += 1
-    return count
-
-
-def subset_scan_numba(n, indptr, nbr, wts, pi):
-    """Min cut ratio and near-minimal subset masks via a Gray-code walk."""
-    best = _gray_min_ratio(n, indptr, nbr, wts, pi)
-    out = np.zeros(CANDIDATE_CAP, dtype=np.int64)
-    count = _gray_candidates(n, indptr, nbr, wts, pi, best + SCAN_SLACK, out)
-    if count > CANDIDATE_CAP:
-        raise RuntimeError("degenerate cut-ratio plateau; too many candidates")
-    return best, out[:count]
-
-
-def subset_scan_numpy(n, edge_u, edge_v, edge_w, pi, chunk=1 << 18):
-    """Same scan with chunked vectorized evaluation of every subset."""
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.int64)
-    best = np.inf
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        vol = bits @ pi
-        cut = np.zeros(len(masks))
-        for u, v, w in zip(edge_u, edge_v, edge_w):
-            cut += w * np.abs(bits[:, u] - bits[:, v])
-        proper = (masks != total - 1)
-        ratio = np.where(proper, 0.25 * cut / np.maximum(vol * (1.0 - vol), 1e-300), np.inf)
-        m = float(ratio.min())
-        if m < best:
-            best = m
-    cands = []
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        vol = bits @ pi
-        cut = np.zeros(len(masks))
-        for u, v, w in zip(edge_u, edge_v, edge_w):
-            cut += w * np.abs(bits[:, u] - bits[:, v])
-        proper = (masks != total - 1)
-        ratio = np.where(proper, 0.25 * cut / np.maximum(vol * (1.0 - vol), 1e-300), np.inf)
-        hit = masks[ratio <= best + SCAN_SLACK]
-        cands.append(hit)
-        if sum(len(c) for c in cands) > CANDIDATE_CAP:
+    for masks, ratio in _ratio_blocks(graph):
+        hits.append(masks[ratio <= threshold])
+        count += len(hits[-1])
+        if 2 * count > CANDIDATE_CAP:
             raise RuntimeError("degenerate cut-ratio plateau; too many candidates")
-    return best, np.concatenate(cands) if cands else np.zeros(0, dtype=np.int64)
+    return np.concatenate(hits)
 
 
-def subset_scan(graph, backend=None):
-    """Dispatch the subset scan; returns (approx min ratio, candidate masks)."""
-    use = USE_NUMBA if backend is None else (backend == "numba")
-    if use:
-        indptr, nbr, wts = graph.csr
-        return subset_scan_numba(graph.n, indptr, nbr, wts, graph.pi)
-    return subset_scan_numpy(graph.n, graph.edge_u, graph.edge_v,
-                             graph.edge_w, graph.pi)
+def subset_scan(graph):
+    """Candidate minimizers of the cut ratio: the masks holding vertex 0
+    whose scanned ratio is within SCAN_SLACK of the scanned minimum.
+
+    A subset and its complement have bitwise-equal canonical ratios, and
+    the one holding vertex 0 is lexicographically smaller, so scanning
+    half of the subsets loses no witness.  Raises RuntimeError when more
+    than CANDIDATE_CAP subsets, complements counted, tie.
+    """
+    best = np.inf
+    kept_masks, kept_ratios = np.zeros(0, dtype=np.int64), np.zeros(0)
+    plateau = None
+    for masks, ratio in _ratio_blocks(graph):
+        best = min(best, float(ratio.min()))
+        if plateau is not None:
+            continue
+        near = ratio <= best + SCAN_SLACK
+        masks = np.concatenate((kept_masks, masks[near]))
+        ratio = np.concatenate((kept_ratios, ratio[near]))
+        near = ratio <= best + SCAN_SLACK
+        kept_masks, kept_ratios = masks[near], ratio[near]
+        if 2 * len(kept_masks) > CANDIDATE_CAP:
+            # stop collecting; rescan if a later block lowers the minimum
+            plateau = best
+    if plateau is None:
+        return kept_masks
+    if best == plateau:
+        raise RuntimeError("degenerate cut-ratio plateau; too many candidates")
+    return _collect(graph, best + SCAN_SLACK)
 
 
 # -- triangle inequality scan --------------------------------------------------
 
-@njit(cache=True)
-def _triangle_full(dist, tol, out):
-    n = dist.shape[0]
-    count = 0
-    worst = 0.0
-    for x in range(n):
-        for y in range(n):
-            dxy = dist[x, y]
-            for z in range(n):
-                s = dist[x, z] - dxy - dist[y, z]
-                if s > tol:
-                    if count < out.shape[0]:
-                        out[count, 0] = x
-                        out[count, 1] = y
-                        out[count, 2] = z
-                    count += 1
-                    if s > worst:
-                        worst = s
-    return count, worst
-
-
-def triangle_scan_numba(dist, tol, max_report=64):
-    out = np.zeros((max_report, 3), dtype=np.int64)
-    count, worst = _triangle_full(dist, tol, out)
-    return count, worst, out[: min(count, max_report)]
-
-
-def triangle_scan_numpy(dist, tol, max_report=64, block=64):
+def triangle_scan(dist, tol, max_report=64, block=64):
+    """Count ordered triples (x, y, z) with d(x,z) - d(x,y) - d(y,z) > tol;
+    returns (count, worst slack, up to max_report violating triples)."""
     n = dist.shape[0]
     count = 0
     worst = 0.0
@@ -205,10 +136,3 @@ def triangle_scan_numpy(dist, tol, max_report=64, block=64):
         count += c
     trips = np.array(rows, dtype=np.int64).reshape(-1, 3)
     return count, worst, trips
-
-
-def triangle_scan(dist, tol, backend=None, max_report=64):
-    use = USE_NUMBA if backend is None else (backend == "numba")
-    if use:
-        return triangle_scan_numba(dist, tol, max_report=max_report)
-    return triangle_scan_numpy(dist, tol, max_report=max_report)

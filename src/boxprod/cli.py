@@ -21,8 +21,7 @@ from . import __version__
 from .functions import (dictator, from_values, function_from_dict,
                         function_to_dict, parity, random_boolean)
 from .gadgets import named_graph
-from .graphs import (DenseCapError, cartesian_power, graph_from_dict,
-                     graph_to_dict, load_graph)
+from .graphs import cartesian_power, graph_from_dict, graph_to_dict, load_graph
 from .influence import corollary_check, friedgut_extract, is_junta_on, kkl_report
 from .isoperimetry import (chain_check, conductance_bruteforce,
                            log_sobolev_estimate, product_scaling_report)
@@ -351,7 +350,7 @@ def run(argv=None) -> int:
     try:
         body = _COMMANDS[args.command](args)
     except (UsageError, OSError, json.JSONDecodeError, ValueError,
-            DenseCapError) as exc:
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     passed = all(check["passed"] for check in body["checks"])

@@ -71,26 +71,6 @@ class WeightedGraph:
             for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w)
         }
 
-    @cached_property
-    def csr(self) -> tuple:
-        """Adjacency in CSR form: (indptr, neighbor, weight) arrays."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edge_u, 1)
-        np.add.at(deg, self.edge_v, 1)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        nbr = np.empty(indptr[-1], dtype=np.int64)
-        wts = np.empty(indptr[-1], dtype=np.float64)
-        cursor = indptr[:-1].copy()
-        for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w):
-            nbr[cursor[u]] = v
-            wts[cursor[u]] = w
-            cursor[u] += 1
-            nbr[cursor[v]] = u
-            wts[cursor[v]] = w
-            cursor[v] += 1
-        return indptr, nbr, wts
-
     def edge_mass(self, u: int, v: int) -> float:
         """Mass of the unordered pair {u, v}; zero when not an edge."""
         if u == v:

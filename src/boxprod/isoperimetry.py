@@ -1,9 +1,10 @@
 """Conductance, log-Sobolev estimation and product scaling laws.
 
-Conductance is computed exactly by scanning every proper vertex subset
-(accelerated kernel) and re-evaluating near-minimal candidates with one
-canonical scalar formula, so the reported witness always reproduces the
-reported value.  The log-Sobolev constant is estimated from above by
+Conductance is computed exactly: a meet-in-the-middle scan of the
+proper vertex subsets keeps the near-minimal candidates, and one
+canonical formula, applied to the candidates in a batch, picks the
+minimum and its witness, so the witness always reproduces the reported
+value.  The log-Sobolev constant is estimated from above by
 multi-start projected descent of the ratio 2*energy / entropy on the
 unit sphere of the vertex measure.
 """
@@ -30,29 +31,56 @@ def _as_graph(graph_or_product) -> WeightedGraph:
     return graph_or_product
 
 
+def _row_sums(values: np.ndarray, select: np.ndarray) -> np.ndarray:
+    """``np.sum(values[row])`` for each boolean row of ``select``, bit for
+    bit: numpy's pairwise summation depends only on the length of what
+    it adds, so the rows that select equally many values are compressed
+    into one matrix and summed along its rows."""
+    counts = select.sum(axis=1)
+    out = np.empty(len(select))
+    for count in np.flatnonzero(np.bincount(counts)):
+        rows = counts == count
+        group = select[rows]
+        picked = np.broadcast_to(values, group.shape)[group]
+        out[rows] = picked.reshape(len(group), count).sum(axis=1)
+    return out
+
+
+def cut_ratios(graph: WeightedGraph, masks) -> np.ndarray:
+    """Canonical set-form ratio 0.25 * cut mass / (vol(S) * vol(~S)) of
+    each subset mask."""
+    masks = np.asarray(masks, dtype=np.int64)
+    if not np.all((masks > 0) & (masks < (1 << graph.n) - 1)):
+        raise ValueError("a cut ratio needs a proper nonempty vertex subset")
+    bits = ((masks[:, None] >> np.arange(graph.n, dtype=np.int64)) & 1) == 1
+    cut = _row_sums(graph.edge_w, bits[:, graph.edge_u] != bits[:, graph.edge_v])
+    return 0.25 * cut / (_row_sums(graph.pi, bits) * _row_sums(graph.pi, ~bits))
+
+
 def cut_ratio(graph: WeightedGraph, mask: int) -> float:
-    """Canonical set-form ratio: 0.25 * cut mass / (vol(S) * vol(~S))."""
-    bits = (mask >> np.arange(graph.n, dtype=np.int64)) & 1
-    crossed = bits[graph.edge_u] != bits[graph.edge_v]
-    cut = float(np.sum(graph.edge_w[crossed]))
-    vol_s = float(np.sum(graph.pi[bits == 1]))
-    vol_c = float(np.sum(graph.pi[bits == 0]))
-    return 0.25 * cut / (vol_s * vol_c)
+    """Canonical set-form ratio of one subset mask (see ``cut_ratios``)."""
+    return float(cut_ratios(graph, [mask])[0])
 
 
-def _lex_less(a: int, b: int) -> bool:
-    """Sorted-vertex-list lexicographic order on subset masks."""
-    d = a ^ b
-    if d == 0:
-        return False
-    bit = d & (-d)
-    above = ~((bit << 1) - 1)
-    if a & bit:
-        return (b & above) != 0
-    return (a & above) == 0
+def _lex_min(masks: np.ndarray) -> int:
+    """The mask, of a non-empty array, whose sorted vertex list is
+    lexicographically smallest.
+
+    Before pass v the survivors agree on every vertex below v.  The ones
+    holding v come first, if any do; a survivor that holds no vertex
+    from v on is a prefix of the others, hence the smallest.
+    """
+    for v in range(64):
+        rest = masks >> v
+        if not rest.all():
+            break
+        holds = (rest & 1) == 1
+        if holds.any():
+            masks = masks[holds]
+    return int(masks[rest == 0][0])
 
 
-def conductance_bruteforce(graph_or_product, backend=None):
+def conductance_bruteforce(graph_or_product):
     """Exact conductance with a witness set (lexicographically smallest
     among the minimizers).  Limited to 25 vertices."""
     graph = _as_graph(graph_or_product)
@@ -61,17 +89,12 @@ def conductance_bruteforce(graph_or_product, backend=None):
             f"{graph.n} vertices is beyond exhaustive enumeration; "
             "use conductance_functional on candidate cuts instead"
         )
-    _, candidates = _kernels.subset_scan(graph, backend=backend)
-    best_ratio = math.inf
-    best_mask = None
-    for mask in candidates:
-        mask = int(mask)
-        ratio = cut_ratio(graph, mask)
-        if ratio < best_ratio or (ratio == best_ratio and _lex_less(mask, best_mask)):
-            best_ratio = ratio
-            best_mask = mask
+    candidates = _kernels.subset_scan(graph)
+    ratios = cut_ratios(graph, candidates)
+    best = ratios.min()
+    best_mask = _lex_min(candidates[ratios == best])
     witness = tuple(v for v in range(graph.n) if (best_mask >> v) & 1)
-    return best_ratio, witness
+    return float(best), witness
 
 
 def conductance_functional(graph: WeightedGraph, f: np.ndarray) -> float:

@@ -132,8 +132,7 @@ class TriangleReport:
 
 
 def check_triangle(sol: SdpSolution, *, tol: float = TOL,
-                   budget: int = 2_000_000, seed: int = 0,
-                   backend=None) -> TriangleReport:
+                   budget: int = 2_000_000, seed: int = 0) -> TriangleReport:
     """Scan ordered vertex triples for squared-distance triangle
     violations; samples with a seed when the full scan exceeds the
     budget."""
@@ -141,7 +140,7 @@ def check_triangle(sol: SdpSolution, *, tol: float = TOL,
     n = sol.n
     total = n ** 3
     if total <= budget:
-        count, worst, trips = _kernels.triangle_scan(dist, tol, backend=backend)
+        count, worst, trips = _kernels.triangle_scan(dist, tol)
         return TriangleReport(violations=trips, count=count, worst=worst,
                               checked=total, partial=False)
     rng = np.random.default_rng(seed)

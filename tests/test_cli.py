@@ -106,3 +106,12 @@ def test_determinism_byte_identical(tmp_path):
         assert run(argv + ["--out", str(out_a)]) == 0
         assert run(argv + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_scan_plateau_exit_one_without_traceback(capsys):
+    # K17's proper subsets all tie, so the exact conductance scan refuses
+    code = run(["friedgut", "--builtin", "kq:17", "--k", "1", "--fn", "dictator"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "plateau" in err
+    assert "Traceback" not in err

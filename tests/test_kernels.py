@@ -1,5 +1,5 @@
-"""Backend equivalence: the njit kernels and their numpy fallbacks must
-produce matching results."""
+"""The meet-in-the-middle subset scan and the batched exact re-check,
+against plain enumeration and against the scalar reference loop."""
 
 import math
 
@@ -8,57 +8,144 @@ import pytest
 
 import boxprod as bp
 from boxprod import _kernels
-from boxprod._accel import HAS_NUMBA
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-
-
-@needs_numba
-def test_subset_scan_backends_agree(k2, k3, p3, c5):
-    for g in (k3, p3, c5,
-              bp.cartesian_power(k3, 2).to_weighted_graph(),
-              bp.cartesian_power(k2, 4).to_weighted_graph()):
-        phi_nb, wit_nb = bp.conductance_bruteforce(g, backend="numba")
-        phi_np, wit_np = bp.conductance_bruteforce(g, backend="numpy")
-        assert math.isclose(phi_nb, phi_np, abs_tol=1e-12)
-        assert wit_nb == wit_np
+from boxprod.isoperimetry import _lex_min
+from conftest import naive_conductance
 
 
-@needs_numba
-def test_triangle_backends_agree():
-    rng = np.random.default_rng(0)
-    vecs = rng.standard_normal((12, 3))
-    sol = bp.SdpSolution(vectors=vecs)
-    nb = bp.check_triangle(sol, backend="numba")
-    npz = bp.check_triangle(sol, backend="numpy")
-    assert nb.count == npz.count
-    assert math.isclose(nb.worst, npz.worst, abs_tol=1e-12)
+def _relabel(graph, seed):
+    perm = np.random.default_rng(seed).permutation(graph.n)
+    edges = zip(perm[graph.edge_u], perm[graph.edge_v], graph.edge_w)
+    return bp.build_graph(graph.n, edges)
 
 
-def test_numpy_scan_chunking_boundaries(c5):
-    # chunk smaller than the subset count exercises the two-pass merge
-    best, cands = _kernels.subset_scan_numpy(
-        c5.n, c5.edge_u, c5.edge_v, c5.edge_w, c5.pi, chunk=7)
-    assert math.isclose(best, 5.0 / 12.0, abs_tol=1e-12)
-    assert len(cands) >= 1
+def _small_graphs():
+    k2, k3 = bp.complete_graph(2), bp.complete_graph(3)
+    p3, c5 = bp.path_graph(3), bp.cycle_graph(5)
+    out = {"K2": k2, "K3": k3, "P3": p3, "C5": c5,
+           "K3^2": bp.cartesian_power(k3, 2).to_weighted_graph(),
+           "P3^2": bp.cartesian_power(p3, 2).to_weighted_graph(),
+           "K2^3": bp.cartesian_power(k2, 3).to_weighted_graph()}
+    out.update({f"{name} relabelled": _relabel(g, i)
+                for i, (name, g) in enumerate(list(out.items()))})
+    out["weighted 6"] = bp.build_graph(6, [
+        (0, 1, 3.0), (1, 2, 1.0), (2, 3, 2.5), (3, 4, 1.0), (4, 5, 4.0),
+        (5, 0, 0.5), (1, 4, 2.0), (0, 3, 1.5)])
+    out["weighted 7"] = bp.build_graph(7, [
+        (0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 3.0), (4, 5, 1.0),
+        (5, 6, 2.0), (6, 0, 1.0), (2, 5, 0.5)])
+    return out
 
 
-def test_gray_walk_visits_every_subset(p3):
-    # candidate threshold of +inf collects every proper nonempty subset
-    indptr, nbr, wts = p3.csr
-    out = np.zeros(1 << 16, dtype=np.int64)
-    count = _kernels._gray_candidates(
-        p3.n, indptr, nbr, wts, p3.pi, np.inf, out)
-    assert count == (1 << p3.n) - 2
-    assert sorted(out[:count]) == [m for m in range(1, 7)]
+SMALL_GRAPHS = _small_graphs()
+
+
+def _scalar_cut_ratio(graph, mask):
+    """The set-form ratio as one scalar numpy evaluation per mask."""
+    bits = (mask >> np.arange(graph.n, dtype=np.int64)) & 1
+    crossed = bits[graph.edge_u] != bits[graph.edge_v]
+    cut = float(np.sum(graph.edge_w[crossed]))
+    vol_s = float(np.sum(graph.pi[bits == 1]))
+    vol_c = float(np.sum(graph.pi[bits == 0]))
+    return 0.25 * cut / (vol_s * vol_c)
+
+
+def _lex_less(a, b):
+    """Sorted-vertex-list lexicographic order on subset masks."""
+    d = a ^ b
+    if d == 0:
+        return False
+    bit = d & (-d)
+    above = ~((bit << 1) - 1)
+    if a & bit:
+        return (b & above) != 0
+    return (a & above) == 0
+
+
+def _reference_conductance(graph):
+    """Minimum of the scalar ratio over every proper subset, ties broken
+    towards the lexicographically smallest sorted vertex list."""
+    best_ratio, best_mask = math.inf, None
+    for mask in range(1, (1 << graph.n) - 1):
+        ratio = _scalar_cut_ratio(graph, mask)
+        if ratio < best_ratio or (ratio == best_ratio and _lex_less(mask, best_mask)):
+            best_ratio, best_mask = ratio, mask
+    return best_ratio, tuple(v for v in range(graph.n) if (best_mask >> v) & 1)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_scan_matches_naive_enumeration(name):
+    g = SMALL_GRAPHS[name]
+    phi, witness = bp.conductance_bruteforce(g)
+    naive_phi, _ = naive_conductance(g)
+    assert math.isclose(phi, naive_phi, abs_tol=1e-12)
+    assert bp.cut_ratio(g, sum(1 << v for v in witness)) == phi
+
+
+@pytest.mark.parametrize("block", [1, _kernels.SCAN_BLOCK_ENTRIES])
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_scan_matches_scalar_reference_bitwise(name, block, monkeypatch):
+    # block = 1 scans one row of low-half subsets at a time
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", block)
+    g = SMALL_GRAPHS[name]
+    assert bp.conductance_bruteforce(g) == _reference_conductance(g)
+
+
+@pytest.mark.parametrize("name", ["C5", "K3^2", "weighted 6", "weighted 7"])
+def test_batched_ratios_match_scalar_bitwise(name):
+    g = SMALL_GRAPHS[name]
+    masks = np.arange(1, (1 << g.n) - 1)
+    batched = bp.cut_ratios(g, masks)
+    assert batched.tolist() == [_scalar_cut_ratio(g, int(m)) for m in masks]
+
+
+@pytest.fixture
+def tiny_cap(monkeypatch):
+    """One row of low-half subsets per block and a cap of two tied
+    subsets; returns the thresholds of the rescans the scan makes."""
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(_kernels, "CANDIDATE_CAP", 2)
+    rescans = []
+    collect = _kernels._collect
+    monkeypatch.setattr(_kernels, "_collect",
+                        lambda g, t: rescans.append(t) or collect(g, t))
+    return rescans
+
+
+def test_plateau_rescan_after_a_lower_minimum(tiny_cap):
+    # the first row's ties overflow the cap before a later row lowers the
+    # minimum, so the candidates are collected again
+    g = bp.build_graph(4, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1),
+                           (1, 3, 1), (2, 3, 2)])
+    assert bp.conductance_bruteforce(g) == _reference_conductance(g)
+    assert len(tiny_cap) == 1
+
+
+def test_plateau_rescan_still_over_the_cap(tiny_cap):
+    g = bp.build_graph(6, [(0, 1, 1), (1, 2, 2), (1, 3, 2), (2, 4, 1),
+                           (2, 5, 2), (3, 4, 2), (3, 5, 1), (4, 5, 1)])
+    with pytest.raises(RuntimeError, match="plateau"):
+        bp.conductance_bruteforce(g)
+    assert len(tiny_cap) == 1
+
+
+def test_cut_ratio_refuses_empty_and_full_sets(c5):
+    for mask in (0, (1 << c5.n) - 1):
+        with pytest.raises(ValueError, match="proper"):
+            bp.cut_ratio(c5, mask)
+
+
+def test_plateau_raises_runtime_error():
+    # every proper subset of K17 ties
+    with pytest.raises(RuntimeError, match="plateau"):
+        bp.conductance_bruteforce(bp.complete_graph(17))
 
 
 def test_lex_tiebreak_prefers_smallest_sorted_set():
-    from boxprod.isoperimetry import _lex_less
+    def lex_min(*masks):
+        return _lex_min(np.array(masks, dtype=np.int64))
 
-    assert _lex_less(0b001, 0b010)        # {0} < {1}
-    assert _lex_less(0b001, 0b011)        # {0} < {0,1}
-    assert _lex_less(0b011, 0b010)        # {0,1} < {1}
-    assert _lex_less(0b100011, 0b000101)  # {0,1,5} < {0,2}
-    assert not _lex_less(0b000101, 0b100011)
-    assert not _lex_less(0b011, 0b011)
+    assert lex_min(0b010, 0b001) == 0b001          # {0} < {1}
+    assert lex_min(0b011, 0b001) == 0b001          # {0} < {0,1}
+    assert lex_min(0b010, 0b011) == 0b011          # {0,1} < {1}
+    assert lex_min(0b000101, 0b100011) == 0b100011  # {0,1,5} < {0,2}
+    assert lex_min(0b011, 0b011) == 0b011
