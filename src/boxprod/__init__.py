@@ -12,8 +12,8 @@ from .graphs import (DenseCapError, ProductGraph, WeightedGraph, build_graph,
                      graph_to_dict, load_graph, path_graph, save_graph,
                      validate_measures)
 from .influence import (InfluenceReport, JuntaResult, corollary_check,
-                        friedgut_extract, is_junta_on, kkl_report,
-                        main_lemma_check)
+                        corollary_sweep, friedgut_extract, is_junta_on,
+                        kkl_report, main_lemma_check)
 from .isoperimetry import (ChainReport, LogSobolevEstimate, ScalingReport,
                            chain_check, conductance_bruteforce,
                            conductance_functional, cut_ratio, cut_ratios,

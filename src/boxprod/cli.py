@@ -22,16 +22,15 @@ from .functions import (dictator, from_values, function_from_dict,
                         function_to_dict, parity, random_boolean)
 from .gadgets import named_graph
 from .graphs import cartesian_power, graph_from_dict, graph_to_dict, load_graph
-from .influence import corollary_check, friedgut_extract, is_junta_on, kkl_report
-from .isoperimetry import (chain_check, conductance_bruteforce,
-                           log_sobolev_estimate, product_scaling_report)
+from .influence import corollary_sweep, friedgut_extract, is_junta_on, kkl_report
+from .isoperimetry import (conductance_bruteforce, log_sobolev_estimate,
+                           product_scaling_report)
 from .sdp import (basic_sdp_opt, check_triangle, lasserre_from_dict,
                   lasserre_from_distribution, lasserre_to_dict,
                   lift_lasserre, lift_sherali_adams, lift_vectors,
                   sa_from_dict, sa_from_distribution, sa_to_dict,
                   sdp_from_dict, sdp_to_dict, uniform_cut_distribution,
                   vectors_from_distribution, vectors_from_local_tables)
-from .spectral import eigendecompose
 
 TOLERANCES = {
     "ratio_abs": 1e-9,
@@ -138,16 +137,12 @@ def cmd_isoperimetry(args) -> dict:
             "alpha_ratio_near_1_over_k",
             abs(rep.alpha_ratio * args.k - 1.0) <= TOLERANCES["alpha_ratio_rel"],
             {"alpha_ratio": rep.alpha_ratio}))
-    if base.n <= 25:
-        chain = chain_check(base, seed=args.seed)
-        checks.append(_check("chain_base", chain.chain_ok, {
-            "alpha_hat": chain.alpha_hat, "lambda1": chain.lambda1,
-            "phi": chain.phi}))
-    if base.n ** args.k <= 25:
-        chain_p = chain_check(cartesian_power(base, args.k), seed=args.seed)
-        checks.append(_check("chain_product", chain_p.chain_ok, {
-            "alpha_hat": chain_p.alpha_hat, "lambda1": chain_p.lambda1,
-            "phi": chain_p.phi}))
+    for name, chain in (("chain_base", rep.chain_base),
+                        ("chain_product", rep.chain_product)):
+        if chain is not None:
+            checks.append(_check(name, chain.chain_ok, {
+                "alpha_hat": chain.alpha_hat, "lambda1": chain.lambda1,
+                "phi": chain.phi}))
     results = {
         "phi_base": rep.phi_base,
         "phi_product": rep.phi_product,
@@ -172,11 +167,9 @@ def cmd_kkl(args) -> dict:
     except ValueError as exc:
         return {"results": {"status": "error", "error": str(exc)},
                 "checks": [_check("influence_report", False, str(exc))]}
-    basis = eigendecompose(base)
     sweep = []
     all_ok = True
-    for t in T_SWEEP:
-        rows = corollary_check(f, t, alpha, basis=basis)
+    for t, rows in zip(T_SWEEP, corollary_sweep(f, T_SWEEP, alpha)):
         ok = all(r.ok for r in rows)
         all_ok &= ok
         sweep.append({"t": t, "ok": ok,
@@ -269,7 +262,7 @@ def cmd_sdp_lift(args) -> dict:
     phi, witness = conductance_bruteforce(base)
     cut_dist = uniform_cut_distribution(base.n, witness)
     if args.sa_file:
-        ld = sa_from_dict(_load_json(args.sa_file))
+        ld = sa_from_dict(_load_json(args.sa_file), base.n)
         # pair the tables with vectors factored from their own moments so
         # the SA file is self-contained
         sa_vecs = vectors_from_local_tables(ld, base.n)
@@ -285,7 +278,7 @@ def cmd_sdp_lift(args) -> dict:
                          {"marginal_gap": marginal_gap, "vector_gap": vector_gap}))
 
     if args.lasserre_file:
-        ls = lasserre_from_dict(_load_json(args.lasserre_file))
+        ls = lasserre_from_dict(_load_json(args.lasserre_file), base.n)
     else:
         ls = lasserre_from_distribution(cut_dist, base.n, args.t_level)
     lifted_ls = lift_lasserre(ls, product, min(args.t_level, ls.level))

@@ -109,6 +109,7 @@ def from_values(product: ProductGraph, values) -> FunctionTable:
 
 def dictator(product: ProductGraph, coord: int = 0) -> FunctionTable:
     """Boolean function determined by a single coordinate: +1 iff it is 0."""
+    product.require_dense()
     n, k = product.base.n, product.k
     col = np.where(np.arange(n) == 0, 1.0, -1.0)
     shape = [1] * k
@@ -121,6 +122,7 @@ def parity(product: ProductGraph) -> FunctionTable:
     """Product of per-coordinate signs; requires a 2-vertex base."""
     if product.base.n != 2:
         raise ValueError("parity needs a 2-vertex base graph")
+    product.require_dense()
     vals = np.array([1.0])
     for _ in range(product.k):
         vals = np.kron(vals, np.array([1.0, -1.0]))
@@ -128,6 +130,7 @@ def parity(product: ProductGraph) -> FunctionTable:
 
 
 def random_boolean(product: ProductGraph, rng, balanced: bool = False) -> FunctionTable:
+    product.require_dense()
     size = product.num_vertices
     if balanced:
         vals = np.ones(size)

@@ -17,8 +17,9 @@ configurable cap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -155,8 +156,8 @@ def build_graph(n: int, edges) -> WeightedGraph:
 
     Weights are renormalized so the edge masses form a probability
     distribution; the vertex measure is derived from the consistency
-    rule.  Self-loops, duplicate pairs, nonpositive weights and
-    disconnected graphs are rejected.
+    rule.  Self-loops, duplicate pairs, non-finite or nonpositive
+    weights and disconnected graphs are rejected.
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -168,6 +169,8 @@ def build_graph(n: int, edges) -> WeightedGraph:
             raise ValueError(f"vertex out of range in edge ({u}, {v})")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite weight {w} on edge ({u}, {v})")
         if w <= 0:
             raise ValueError(f"nonpositive weight {w} on edge ({u}, {v})")
         key = (min(u, v), max(u, v))
@@ -240,6 +243,7 @@ class ProductGraph:
     base: WeightedGraph
     k: int
     dense_cap: int = DENSE_CAP
+    _pi_powers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -283,25 +287,24 @@ class ProductGraph:
             index //= n
         return tuple(reversed(out))
 
+    def _pi_power(self, m: int) -> np.ndarray:
+        """Read-only kron power ``pi^{(x)m}``, built once per exponent."""
+        if m not in self._pi_powers:
+            out = reduce(np.kron, [self.base.pi] * m, np.array([1.0]))
+            out.setflags(write=False)
+            self._pi_powers[m] = out
+        return self._pi_powers[m]
+
     def pi_product(self) -> np.ndarray:
-        """Flat product vertex measure (row-major)."""
+        """Flat product vertex measure (row-major, read-only, cached)."""
         self.require_dense()
-        out = np.array([1.0])
-        for _ in range(self.k):
-            out = np.kron(out, self.base.pi)
-        return out
+        return self._pi_power(self.k)
 
     def pi_rest(self, j: int) -> np.ndarray:
-        """Flat product measure over all coordinates except ``j``."""
-        if self.k == 1:
-            return np.array([1.0])
-        cap_rest = self.base.n ** (self.k - 1)
-        if cap_rest > self.dense_cap:
+        """Flat product measure over all coordinates but ``j`` (one array for any j)."""
+        if self.base.n ** (self.k - 1) > self.dense_cap:
             raise DenseCapError("n^(k-1) exceeds the dense cap")
-        out = np.array([1.0])
-        for _ in range(self.k - 1):
-            out = np.kron(out, self.base.pi)
-        return out
+        return self._pi_power(self.k - 1)
 
     def product_edge_mass(self, x, y) -> float:
         """Mass of the unordered product edge {x, y}.
@@ -330,7 +333,7 @@ class ProductGraph:
         self.require_dense()
         n, k = self.base.n, self.k
         rest_count = n ** (k - 1)
-        pi_rest_flat = self.pi_rest(0) if k > 1 else np.array([1.0])
+        pi_rest_flat = self.pi_rest(0)
         us, vs, ws = [], [], []
         r = np.arange(rest_count, dtype=np.int64)
         for j in range(k):

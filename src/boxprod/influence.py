@@ -56,25 +56,38 @@ class CorollaryRow:
     ok: bool
 
 
-def corollary_check(f: FunctionTable, t: float, alpha: float, *,
+def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float, *,
                     basis: SpectralBasis | None = None,
                     dec: Decomposition | None = None) -> list:
-    """Per-coordinate lemma applied to the components of a Boolean f,
-    with the 1-norm replaced by the coordinate variance."""
-    if not (0.0 < t <= T_MAX + 1e-15):
-        raise ValueError(f"t must lie in (0, 1/e^2], got {t}")
+    """``corollary_check`` at each t of ``ts``, one list of rows per t.
+    Only the right-hand sides depend on t; the rest is computed once."""
+    for t in ts:
+        if not (0.0 < t <= T_MAX + 1e-15):
+            raise ValueError(f"t must lie in (0, 1/e^2], got {t}")
     if not f.boolean_pm1:
         raise ValueError("corollary check requires a {-1,+1}-valued function")
     if basis is None:
         basis = eigendecompose(f.product.base)
     if dec is None:
         dec = decompose(f, basis)
-    rows = []
-    for j, part in enumerate(dec.parts):
-        lhs = dirichlet_form(part)
-        rhs = _entropy_rhs(alpha, f.k, t, f.variance_along(j), part.norm2_sq())
-        rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - SLACK)))
-    return rows
+    terms = [(dirichlet_form(part), f.variance_along(j), part.norm2_sq())
+             for j, part in enumerate(dec.parts)]
+    sweep = []
+    for t in ts:
+        rows = []
+        for j, (lhs, var_j, l2_sq) in enumerate(terms):
+            rhs = _entropy_rhs(alpha, f.k, t, var_j, l2_sq)
+            rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - SLACK)))
+        sweep.append(rows)
+    return sweep
+
+
+def corollary_check(f: FunctionTable, t: float, alpha: float, *,
+                    basis: SpectralBasis | None = None,
+                    dec: Decomposition | None = None) -> list:
+    """Per-coordinate lemma applied to the components of a Boolean f,
+    with the 1-norm replaced by the coordinate variance."""
+    return corollary_sweep(f, (t,), alpha, basis=basis, dec=dec)[0]
 
 
 # -- max influence report --------------------------------------------------------

@@ -228,16 +228,9 @@ class ChainReport:
         return self.alpha_le_lambda and self.lambda_le_2phi
 
 
-def chain_check(graph_or_product, *, seed: int = 0,
-                rel_tol: float = CHAIN_REL_TOL) -> ChainReport:
-    """Verify alpha_hat <= lambda_1 <= 2*Phi, with a relative tolerance on
-    the first comparison to absorb estimator slack.  Both witnesses ride
-    along: the conductance set reproduces phi and the log-Sobolev
-    function reproduces alpha_hat."""
-    graph = _as_graph(graph_or_product)
-    est = log_sobolev_estimate(graph, seed=seed)
-    lam1 = eigendecompose(graph).lambda1
-    phi, witness = conductance_bruteforce(graph)
+def _chain_report(est: LogSobolevEstimate, lam1: float, scan,
+                  rel_tol: float = CHAIN_REL_TOL) -> ChainReport:
+    phi, witness = scan
     return ChainReport(
         alpha_hat=est.alpha_hat,
         alpha_witness=est.witness,
@@ -247,6 +240,18 @@ def chain_check(graph_or_product, *, seed: int = 0,
         alpha_le_lambda=bool(est.alpha_hat <= lam1 * (1.0 + rel_tol) + 1e-12),
         lambda_le_2phi=bool(lam1 <= 2.0 * phi + 1e-9),
     )
+
+
+def chain_check(graph_or_product, *, seed: int = 0,
+                rel_tol: float = CHAIN_REL_TOL) -> ChainReport:
+    """Verify alpha_hat <= lambda_1 <= 2*Phi, with a relative tolerance on
+    the first comparison to absorb estimator slack.  Both witnesses ride
+    along: the conductance set reproduces phi and the log-Sobolev
+    function reproduces alpha_hat."""
+    graph = _as_graph(graph_or_product)
+    est = log_sobolev_estimate(graph, seed=seed)
+    lam1 = eigendecompose(graph).lambda1
+    return _chain_report(est, lam1, conductance_bruteforce(graph), rel_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +264,8 @@ class ScalingReport:
     alpha_base: float | None
     alpha_product: float | None
     partial: bool
+    chain_base: ChainReport | None = None
+    chain_product: ChainReport | None = None
 
     @property
     def phi_ratio(self) -> float | None:
@@ -277,49 +284,47 @@ class ScalingReport:
         return self.alpha_product / self.alpha_base
 
 
+def _exact_and_estimate(graph: WeightedGraph, seed: int):
+    """``(phi, witness)`` and the log-Sobolev estimate of a graph, each
+    None where its exhaustive or dense computation is infeasible."""
+    scan = conductance_bruteforce(graph) if graph.n <= BRUTE_FORCE_MAX_VERTICES else None
+    est = log_sobolev_estimate(graph, seed=seed) if graph.n <= 200 else None
+    return scan, est
+
+
 def product_scaling_report(base: WeightedGraph, k: int, *,
                            seed: int = 0) -> ScalingReport:
     """Compare conductance, spectral gap and log-Sobolev estimates of the
     base graph against its k-fold power.  Quantities whose exhaustive or
     dense computation is infeasible at either level are left out and the
-    report marked partial."""
+    report marked partial.  Where phi and alpha are both computed, the
+    report also carries the inequality chain built from them."""
     from .graphs import cartesian_power
 
-    product = cartesian_power(base, k)
-    partial = False
-    phi_base = None
-    alpha_base = None
-    if base.n <= BRUTE_FORCE_MAX_VERTICES:
-        phi_base, _ = conductance_bruteforce(base)
-    else:
-        partial = True
-    if base.n <= 200:
-        alpha_base = log_sobolev_estimate(base, seed=seed).alpha_hat
-    else:
-        partial = True
+    base_scan, base_est = _exact_and_estimate(base, seed)
     lam_base = eigendecompose(base).lambda1
     # spectral averaging rule: the smallest nonzero mean of coordinate
     # eigenvalues is lambda_1 / k
     lam_product = lam_base / k
 
-    phi_product = None
-    alpha_product = None
-    if base.n ** k <= BRUTE_FORCE_MAX_VERTICES:
-        phi_product, _ = conductance_bruteforce(product)
-    else:
-        partial = True
+    prod_scan = prod_est = dense = None
     if base.n ** k <= 200:
-        dense = product.to_weighted_graph()
-        alpha_product = log_sobolev_estimate(dense, seed=seed).alpha_hat
-    else:
-        partial = True
+        # at k = 1 the materialized product is the base graph itself
+        dense = cartesian_power(base, k).to_weighted_graph()
+        prod_scan, prod_est = ((base_scan, base_est) if dense is base
+                               else _exact_and_estimate(dense, seed))
     return ScalingReport(
         k=k,
-        phi_base=phi_base,
-        phi_product=phi_product,
+        phi_base=None if base_scan is None else base_scan[0],
+        phi_product=None if prod_scan is None else prod_scan[0],
         lambda1_base=lam_base,
         lambda1_product=lam_product,
-        alpha_base=alpha_base,
-        alpha_product=alpha_product,
-        partial=partial,
+        alpha_base=None if base_est is None else base_est.alpha_hat,
+        alpha_product=None if prod_est is None else prod_est.alpha_hat,
+        partial=None in (base_scan, base_est, prod_scan, prod_est),
+        # a graph small enough to scan is small enough for the descent
+        chain_base=(None if base_scan is None
+                    else _chain_report(base_est, lam_base, base_scan)),
+        chain_product=(None if prod_scan is None else _chain_report(
+            prod_est, eigendecompose(dense).lambda1, prod_scan)),
     )

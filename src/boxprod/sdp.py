@@ -485,7 +485,18 @@ def sa_to_dict(ld: LocalDistributions) -> dict:
     }
 
 
-def sa_from_dict(data: dict) -> LocalDistributions:
+def _require_family(subsets, n: int, low: int, level: int, kind: str):
+    """Every subset of ``range(n)`` with ``low..level`` elements and no
+    other; the keys are distinct, so counting the valid ones suffices."""
+    count = sum(math.comb(n, m) for m in range(low, min(level, n) + 1))
+    if len(subsets) != count or not all(
+            len(set(s)) == len(s) and low <= len(s) <= level
+            and all(0 <= v < n for v in s) for s in subsets):
+        raise ValueError(f"{kind} file must hold every subset of {low}..{level} "
+                         f"of the {n} vertices, and no other")
+
+
+def sa_from_dict(data: dict, n: int) -> LocalDistributions:
     tables = {}
     for entry in data["dists"]:
         subset = tuple(sorted(int(v) for v in entry["T"]))
@@ -493,6 +504,7 @@ def sa_from_dict(data: dict) -> LocalDistributions:
             _assignment_from_key(key): float(p)
             for key, p in entry["probs"].items()
         }
+    _require_family(tables, n, 1, int(data["t"]), "SA")
     return LocalDistributions(level=int(data["t"]), tables=tables)
 
 
@@ -506,11 +518,12 @@ def lasserre_to_dict(ls: SetVectorSolution) -> dict:
     }
 
 
-def lasserre_from_dict(data: dict) -> SetVectorSolution:
+def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
     vectors = {}
     for entry in data["sets"]:
         subset = tuple(sorted(int(v) for v in entry["S"]))
         vectors[subset] = np.asarray(entry["vec"], dtype=np.float64)
+    _require_family(vectors, n, 0, int(data["t"]), "Lasserre")
     return SetVectorSolution(level=int(data["t"]), vectors=vectors)
 
 

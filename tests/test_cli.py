@@ -115,3 +115,57 @@ def test_scan_plateau_exit_one_without_traceback(capsys):
     assert code == 1
     assert err.startswith("error: ") and "plateau" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_weight_exit_one_without_traceback(tmp_path, capsys, literal):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, %s]]}' % literal)
+    code = run(["isoperimetry", "--graph", str(path), "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"non-finite weight {float(literal)} on edge (1, 2)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, data, kind", [
+    ("--sa-file", {"t": 2, "dists": [{"T": [0], "probs": {"+": 0.5, "-": 0.5}}]},
+     "SA"),
+    ("--lasserre-file", {"t": 2, "sets": [{"S": [], "vec": [1.0]},
+                                          {"S": [0], "vec": [1.0]}]},
+     "Lasserre"),
+])
+def test_incomplete_hierarchy_file_exit_one(tmp_path, capsys, flag, data, kind):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    code = run(["sdp-lift", "--builtin", "k2", "--k", "2", "--t-level", "2",
+                flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {kind} file must hold every subset")
+    assert "Traceback" not in err
+
+
+def test_isoperimetry_runs_each_descent_and_scan_once(monkeypatch, capsys):
+    from boxprod import cli, isoperimetry
+
+    calls = {"log_sobolev_estimate": [], "conductance_bruteforce": []}
+    for name in calls:
+        def counted(graph, *args, _fn=getattr(isoperimetry, name), _name=name, **kw):
+            calls[_name].append(graph.n)
+            return _fn(graph, *args, **kw)
+        for module in (isoperimetry, cli):
+            monkeypatch.setattr(module, name, counted)
+    code, out = run_capture(["isoperimetry", "--builtin", "kq:3", "--k", "2"], capsys)
+    monkeypatch.undo()
+    assert code == 0
+    # once on the base (3 vertices) and once on the product (9)
+    assert {name: sorted(ns) for name, ns in calls.items()} == {
+        "log_sobolev_estimate": [3, 9], "conductance_bruteforce": [3, 9]}
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    base = bp.complete_graph(3)
+    for name, graph in (("chain_base", base),
+                        ("chain_product", bp.cartesian_power(base, 2))):
+        fresh = bp.chain_check(graph, seed=0)
+        assert details[name] == {"alpha_hat": fresh.alpha_hat,
+                                 "lambda1": fresh.lambda1, "phi": fresh.phi}

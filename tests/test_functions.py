@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxprod as bp
+from boxprod import functions
 from conftest import naive_component, naive_variance_along
 
 
@@ -202,3 +203,22 @@ def test_function_json_roundtrip(tmp_path, k2):
     save_function(f, path)
     loaded = load_function(path, prod)
     assert np.array_equal(loaded.values, f.values)
+
+
+class _NoDraws:
+    """An rng that fails the test when asked for any draw."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"rng.{name} called before the dense cap check")
+
+
+def test_constructors_check_the_cap_before_allocating(k2, monkeypatch):
+    # 32 vertices over a cap of 16: small, so the check's order is what counts
+    prod = bp.cartesian_power(k2, 5, dense_cap=16)
+    monkeypatch.setattr(functions, "from_values", lambda *a: pytest.fail(
+        "values built before the dense cap check"))
+    for build in (lambda: bp.dictator(prod, 2), lambda: bp.parity(prod),
+                  lambda: bp.random_boolean(prod, _NoDraws()),
+                  lambda: bp.random_boolean(prod, _NoDraws(), balanced=True)):
+        with pytest.raises(bp.DenseCapError):
+            build()

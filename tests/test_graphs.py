@@ -39,6 +39,12 @@ def test_rejects_nonpositive_weight():
         bp.build_graph(2, [(0, 1, 0.0)])
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="non-finite weight"):
+        bp.build_graph(3, [(0, 1, 1.0), (1, 2, weight)])
+
+
 def test_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate"):
         bp.build_graph(2, [(0, 1, 1.0), (1, 0, 2.0)])
@@ -128,6 +134,39 @@ def test_dense_cap_enforced(k2):
     assert not prod.within_cap
     with pytest.raises(bp.DenseCapError):
         prod.pi_product()
+
+
+def _kron_chain(pi, m):
+    out = np.array([1.0])
+    for _ in range(m):
+        out = np.kron(out, pi)
+    return out
+
+
+def test_product_measures_cached_read_only(k2, k3, p3):
+    for g, k in ((k2, 1), (k3, 3), (p3, 4)):
+        prod = bp.cartesian_power(g, k)
+        full = prod.pi_product()
+        rest = prod.pi_rest(0)
+        assert prod.pi_product() is full
+        assert all(prod.pi_rest(j) is rest for j in range(k))
+        assert not full.flags.writeable and not rest.flags.writeable
+        assert full.tolist() == _kron_chain(g.pi, k).tolist()
+        assert rest.tolist() == _kron_chain(g.pi, k - 1).tolist()
+
+
+def test_cached_measures_keep_the_cap_checks(k2):
+    # 2^11 vertices over a cap of 2^10: the rest measure fits, the full does not
+    prod = bp.cartesian_power(k2, 11, dense_cap=1 << 10)
+    rest = prod.pi_rest(3)
+    assert prod.pi_rest(7) is rest
+    for _ in range(2):
+        with pytest.raises(bp.DenseCapError):
+            prod.pi_product()
+    wider = bp.cartesian_power(k2, 12, dense_cap=1 << 10)
+    for j in (0, 0, 5):
+        with pytest.raises(bp.DenseCapError):
+            wider.pi_rest(j)
 
 
 def test_graph_json_roundtrip(tmp_path, c5):

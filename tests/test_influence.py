@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import boxprod as bp
+from boxprod.cli import T_SWEEP
+from boxprod.influence import SLACK, CorollaryRow, _entropy_rhs
 
 T_MAX = math.exp(-2.0)
 
@@ -66,6 +68,37 @@ def test_corollary_random_sweep(k2):
         for t in (T_MAX, 0.05, 0.01):
             rows = bp.corollary_check(f, t, 2.0, basis=basis)
             assert all(r.ok for r in rows)
+
+
+def _reference_rows(f, t, alpha, basis):
+    """Rows for one t, every term computed afresh from a new decomposition."""
+    rows = []
+    for j, part in enumerate(bp.decompose(f, basis).parts):
+        lhs = bp.dirichlet_form(part)
+        rhs = _entropy_rhs(alpha, f.k, t, f.variance_along(j), part.norm2_sq())
+        rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - SLACK)))
+    return rows
+
+
+def test_corollary_sweep_matches_fresh_decompositions(k2, k3):
+    rng = np.random.default_rng(17)
+    for g, k, alpha in ((k2, 5, 2.0), (k3, 3, 1.3)):
+        prod = bp.cartesian_power(g, k)
+        basis = bp.eigendecompose(g)
+        for _ in range(4):
+            f = bp.random_boolean(prod, rng)
+            sweep = bp.corollary_sweep(f, T_SWEEP, alpha, basis=basis)
+            assert len(sweep) == len(T_SWEEP)
+            for t, rows in zip(T_SWEEP, sweep):
+                fresh = bp.corollary_check(f, t, alpha, dec=bp.decompose(f, basis))
+                assert rows == fresh
+                assert rows == _reference_rows(f, t, alpha, basis)
+
+
+def test_corollary_sweep_rejects_any_bad_t(k2):
+    f = bp.dictator(bp.cartesian_power(k2, 2), 0)
+    with pytest.raises(ValueError, match="t must lie"):
+        bp.corollary_sweep(f, (0.05, 0.5), 2.0)
 
 
 def test_corollary_rejects_non_boolean(k2):

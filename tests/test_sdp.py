@@ -298,11 +298,11 @@ def test_sdp_file_roundtrip(tmp_path, k2):
     assert np.allclose(sdp_from_dict(sdp_to_dict(sol)).vectors, sol.vectors)
     dist = bp.uniform_cut_distribution(2, (0,))
     ld = bp.sa_from_distribution(dist, 2, 2)
-    ld2 = sa_from_dict(sa_to_dict(ld))
+    ld2 = sa_from_dict(sa_to_dict(ld), 2)
     assert ld2.level == 2
     assert ld2.table((0, 1)) == ld.table((0, 1))
     ls = bp.lasserre_from_distribution(dist, 2, 2)
-    ls2 = lasserre_from_dict(lasserre_to_dict(ls))
+    ls2 = lasserre_from_dict(lasserre_to_dict(ls), 2)
     assert set(ls2.vectors) == set(ls.vectors)
     for key, vec in ls.vectors.items():
         assert np.allclose(ls2.vectors[key], vec)
@@ -313,3 +313,27 @@ def test_sdp_malformed_file_rejected(tmp_path):
 
     with pytest.raises(ValueError, match="malformed"):
         sdp_from_dict({"d": 3, "vectors": [[1.0, 2.0]]})
+
+
+@pytest.mark.parametrize("subsets", [
+    [[0]],                      # (1,) and (0, 1) missing
+    [[0], [1], [0, 2]],         # vertex 2 of a 2-vertex graph
+    [[0], [1], [0, 0]],         # a repeated vertex is no subset
+])
+def test_incomplete_sa_family_rejected(subsets):
+    from boxprod.sdp import sa_from_dict
+
+    data = {"t": 2, "dists": [{"T": s, "probs": {"+" * len(s): 1.0}} for s in subsets]}
+    with pytest.raises(ValueError, match="SA file must hold every subset"):
+        sa_from_dict(data, 2)
+
+
+def test_incomplete_lasserre_family_rejected():
+    from boxprod.sdp import lasserre_from_dict
+
+    sets = [{"S": s, "vec": [1.0, 0.0]} for s in ([], [0], [1])]
+    lasserre_from_dict({"t": 1, "sets": sets}, 2)
+    with pytest.raises(ValueError, match="Lasserre file must hold every subset"):
+        lasserre_from_dict({"t": 2, "sets": sets}, 2)
+    with pytest.raises(ValueError, match="Lasserre file must hold every subset"):
+        lasserre_from_dict({"t": 1, "sets": sets[1:]}, 2)
