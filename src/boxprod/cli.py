@@ -18,10 +18,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .functions import (dictator, from_values, function_from_dict,
-                        function_to_dict, parity, random_boolean)
+from .functions import (dictator, function_to_dict, load_function, parity,
+                        random_boolean)
 from .gadgets import named_graph
-from .graphs import cartesian_power, graph_from_dict, graph_to_dict, load_graph
+from .graphs import (cartesian_power, complete_graph, graph_to_dict, load_graph,
+                     path_graph, read_json, write_json)
 from .influence import corollary_sweep, friedgut_extract, is_junta_on, kkl_report
 from .isoperimetry import (conductance_bruteforce, log_sobolev_estimate,
                            product_scaling_report)
@@ -87,8 +88,7 @@ def _resolve_graph(args):
 
 def _resolve_function(args, product):
     if getattr(args, "function", None):
-        with open(args.function) as fh:
-            return function_from_dict(json.load(fh), product)
+        return load_function(args.function, product)
     kind = getattr(args, "fn", "random")
     if kind == "dictator":
         return dictator(product, 0)
@@ -108,11 +108,14 @@ def _config_dict(args) -> dict:
     return {key: getattr(args, key, None) for key in keys}
 
 
-def _certified_alpha(graph):
-    """Exact constant for the single-edge base; otherwise an estimate."""
-    if graph.n == 2 and graph.num_edges == 1:
-        return 2.0, "certified"
-    return None, "estimated"
+def _influence_setup(args):
+    """Base graph, function on its k-th power, and the log-Sobolev constant
+    with its label: exact for the single-edge base, otherwise an estimate."""
+    base = _resolve_graph(args)
+    f = _resolve_function(args, cartesian_power(base, args.k, dense_cap=args.max_dense))
+    if base.n == 2 and base.num_edges == 1:
+        return base, f, 2.0, "certified"
+    return base, f, log_sobolev_estimate(base, seed=args.seed).alpha_hat, "estimated"
 
 
 def _check(name, passed, detail):
@@ -156,12 +159,7 @@ def cmd_isoperimetry(args) -> dict:
 
 
 def cmd_kkl(args) -> dict:
-    base = _resolve_graph(args)
-    product = cartesian_power(base, args.k, dense_cap=args.max_dense)
-    f = _resolve_function(args, product)
-    alpha, label = _certified_alpha(base)
-    if alpha is None:
-        alpha = log_sobolev_estimate(base, seed=args.seed).alpha_hat
+    _, f, alpha, label = _influence_setup(args)
     try:
         rep = kkl_report(f, alpha)
     except ValueError as exc:
@@ -195,12 +193,7 @@ def cmd_kkl(args) -> dict:
 
 
 def cmd_friedgut(args) -> dict:
-    base = _resolve_graph(args)
-    product = cartesian_power(base, args.k, dense_cap=args.max_dense)
-    f = _resolve_function(args, product)
-    alpha, label = _certified_alpha(base)
-    if alpha is None:
-        alpha = log_sobolev_estimate(base, seed=args.seed).alpha_hat
+    base, f, alpha, label = _influence_setup(args)
     phi, _ = conductance_bruteforce(base)
     res = friedgut_extract(f, args.epsilon, alpha, phi)
     checks = [
@@ -237,7 +230,7 @@ def cmd_sdp_lift(args) -> dict:
     results = {}
 
     if args.sdp_file:
-        sol = sdp_from_dict(_load_json(args.sdp_file))
+        sol = sdp_from_dict(read_json(args.sdp_file))
     else:
         _, sol = basic_sdp_opt(base)
     base_obj = sol.objective(base)
@@ -262,7 +255,7 @@ def cmd_sdp_lift(args) -> dict:
     phi, witness = conductance_bruteforce(base)
     cut_dist = uniform_cut_distribution(base.n, witness)
     if args.sa_file:
-        ld = sa_from_dict(_load_json(args.sa_file), base.n)
+        ld = sa_from_dict(read_json(args.sa_file), base.n)
         # pair the tables with vectors factored from their own moments so
         # the SA file is self-contained
         sa_vecs = vectors_from_local_tables(ld, base.n)
@@ -278,7 +271,7 @@ def cmd_sdp_lift(args) -> dict:
                          {"marginal_gap": marginal_gap, "vector_gap": vector_gap}))
 
     if args.lasserre_file:
-        ls = lasserre_from_dict(_load_json(args.lasserre_file), base.n)
+        ls = lasserre_from_dict(read_json(args.lasserre_file), base.n)
     else:
         ls = lasserre_from_distribution(cut_dist, base.n, args.t_level)
     lifted_ls = lift_lasserre(ls, product, min(args.t_level, ls.level))
@@ -293,15 +286,10 @@ def cmd_sdp_lift(args) -> dict:
 def cmd_examples(args) -> dict:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    from .graphs import complete_graph, path_graph
-
     written = []
 
     def emit(name, data):
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(data, os.path.join(out_dir, name))
         written.append(name)
 
     k2 = complete_graph(2)
@@ -317,11 +305,6 @@ def cmd_examples(args) -> dict:
     emit("k2.lasserre.json",
          lasserre_to_dict(lasserre_from_distribution(dist, 2, args.t_level)))
     return {"results": {"written": written, "directory": out_dir}, "checks": []}
-
-
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 _COMMANDS = {
@@ -346,6 +329,9 @@ def run(argv=None) -> int:
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 2
     passed = all(check["passed"] for check in body["checks"])
     if "status" in body.get("results", {}):
         passed = passed and body["results"]["status"] != "error"

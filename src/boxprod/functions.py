@@ -8,12 +8,11 @@ the coordinate centering operator), and entropy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProductGraph
+from .graphs import ProductGraph, entropy_sq, read_json, write_json
 
 BOOL_TOL = 1e-12
 
@@ -91,14 +90,7 @@ class FunctionTable:
 
     def entropy_sq(self) -> float:
         """Entropy of f^2 under the product measure (0*log0 = 0)."""
-        f2 = self.values * self.values
-        n2 = float(np.sum(self._pi() * f2))
-        if n2 <= 0.0:
-            return 0.0
-        logs = np.zeros_like(f2)
-        pos = f2 > 0.0
-        logs[pos] = np.log(f2[pos])
-        return float(np.sum(self._pi() * f2 * logs)) - n2 * np.log(n2)
+        return entropy_sq(self._pi(), self.values)
 
 
 # -- constructors ------------------------------------------------------------
@@ -211,11 +203,8 @@ def function_from_dict(data: dict, product: ProductGraph) -> FunctionTable:
 
 
 def save_function(f: FunctionTable, path):
-    with open(path, "w") as fh:
-        json.dump(function_to_dict(f), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(function_to_dict(f), path, indent=None)
 
 
 def load_function(path, product: ProductGraph) -> FunctionTable:
-    with open(path) as fh:
-        return function_from_dict(json.load(fh), product)
+    return function_from_dict(read_json(path), product)

@@ -32,16 +32,16 @@ def _rotate1(values: np.ndarray, width: int) -> np.ndarray:
     return ((values >> 1) | ((values & 1) << (width - 1))) & mask
 
 
-def _canonical_rotations(width: int) -> np.ndarray:
-    """Canonical (minimal) rotation of every width-bit string."""
-    total = 1 << width
-    strings = np.arange(total, dtype=np.int64)
-    canon = strings.copy()
-    cur = strings.copy()
+def _rotation_classes(width: int):
+    """Canonical (minimal) rotation of every width-bit string, and the
+    ascending canonical representatives of the classes other than the two
+    monochromatic strings (the first and the last)."""
+    canon = np.arange(1 << width, dtype=np.int64)
+    cur = canon.copy()
     for _ in range(width - 1):
         cur = _rotate1(cur, width)
         canon = np.minimum(canon, cur)
-    return canon
+    return canon, np.unique(canon[1:-1])
 
 
 def build_necklace(r: int) -> WeightedGraph:
@@ -56,42 +56,23 @@ def build_necklace(r: int) -> WeightedGraph:
         raise ValueError("necklace needs r >= 3")
     if r > NECKLACE_MAX_R:
         raise ValueError(f"necklace limited to r <= {NECKLACE_MAX_R}")
-    total = 1 << r
-    mono = total - 1
-    canon = _canonical_rotations(r)
-    strings = np.arange(total, dtype=np.int64)
-    keep = (strings != 0) & (strings != mono)
-    classes = np.unique(canon[keep])
-    class_of = np.searchsorted(classes, canon)
-
-    survivors = strings[keep]
-    counts: dict = {}
-    for b in range(r):
-        flipped = survivors ^ (np.int64(1) << b)
-        ok = (flipped != 0) & (flipped != mono)
-        a = class_of[survivors[ok]]
-        c = class_of[flipped[ok]]
-        lo = np.minimum(a, c)
-        hi = np.maximum(a, c)
-        pair_ids = lo * len(classes) + hi
-        uniq, mult = np.unique(pair_ids, return_counts=True)
-        for pid, m in zip(uniq, mult):
-            counts[int(pid)] = counts.get(int(pid), 0) + int(m)
+    canon, classes = _rotation_classes(r)
     n_cls = len(classes)
-    eu = np.array([pid // n_cls for pid in sorted(counts)], dtype=np.int64)
-    ev = np.array([pid % n_cls for pid in sorted(counts)], dtype=np.int64)
-    # each cube edge was visited once from each endpoint
-    ew = np.array([counts[pid] / 2.0 for pid in sorted(counts)])
-    return _from_arrays(n_cls, eu, ev, ew, normalize=True)
+    # cube edges along bit 0 whose ends both survive: (s, s + 1), s even.
+    # A rotation carries the edges along any bit onto those along the next
+    # without changing their classes, so every bit adds the same pair
+    # counts, and after normalizing, the bit-0 counts are the masses.
+    even = np.arange(2, (1 << r) - 2, 2, dtype=np.int64)
+    a = np.searchsorted(classes, canon[even])
+    c = np.searchsorted(classes, canon[even + 1])
+    pairs, mult = np.unique(np.minimum(a, c) * n_cls + np.maximum(a, c),
+                            return_counts=True)
+    return _from_arrays(n_cls, pairs // n_cls, pairs % n_cls, mult, normalize=True)
 
 
 def necklace_classes(r: int) -> np.ndarray:
     """Canonical representatives of the rotation classes, ascending."""
-    total = 1 << r
-    canon = _canonical_rotations(r)
-    strings = np.arange(total, dtype=np.int64)
-    keep = (strings != 0) & (strings != total - 1)
-    return np.unique(canon[keep])
+    return _rotation_classes(r)[1]
 
 
 def _has_cyclic_run(values: np.ndarray, r: int, run: int) -> np.ndarray:
@@ -152,6 +133,14 @@ class MonteCarloEstimate:
     samples: int
 
 
+def _evaluate(fn, tuples: np.ndarray) -> np.ndarray:
+    """``fn`` on each row of ``tuples``; an ``evaluate_batch`` method is
+    used when present."""
+    if hasattr(fn, "evaluate_batch"):
+        return fn.evaluate_batch(tuples)
+    return np.array([fn(tuple(row)) for row in tuples])
+
+
 def influence_monte_carlo(fn, graph: WeightedGraph, k: int, j: int,
                           samples: int, seed: int) -> MonteCarloEstimate:
     """Unbiased sampled estimate of the directional energy along j.
@@ -170,13 +159,7 @@ def influence_monte_carlo(fn, graph: WeightedGraph, k: int, j: int,
     xv = xs.copy()
     xu[:, j] = graph.edge_u[edges]
     xv[:, j] = graph.edge_v[edges]
-    if hasattr(fn, "evaluate_batch"):
-        fu = fn.evaluate_batch(xu)
-        fv = fn.evaluate_batch(xv)
-    else:
-        fu = np.array([fn(tuple(row)) for row in xu])
-        fv = np.array([fn(tuple(row)) for row in xv])
-    z = 0.5 * (fu - fv) ** 2
+    z = 0.5 * (_evaluate(fn, xu) - _evaluate(fn, xv)) ** 2
     est = float(z.mean())
     spread = float(z.std(ddof=1)) if samples > 1 else 0.0
     return MonteCarloEstimate(
@@ -192,11 +175,7 @@ def probability_minus_one(fn, graph: WeightedGraph, k: int,
     product vertex measure."""
     rng = np.random.default_rng(seed)
     xs = rng.choice(graph.n, size=(samples, k), p=graph.pi)
-    if hasattr(fn, "evaluate_batch"):
-        vals = fn.evaluate_batch(xs)
-    else:
-        vals = np.array([fn(tuple(row)) for row in xs])
-    hits = (vals < 0).astype(np.float64)
+    hits = (_evaluate(fn, xs) < 0).astype(np.float64)
     p = float(hits.mean())
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
     return MonteCarloEstimate(estimate=p, half_width=se, samples=samples)

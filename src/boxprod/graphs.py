@@ -81,21 +81,9 @@ class WeightedGraph:
 
     # -- function-space primitives under the vertex measure -----------------
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float(np.sum(self.pi * f * g))
-
-    def mean(self, f: np.ndarray) -> float:
-        return float(np.sum(self.pi * f))
-
-    def norm2_sq(self, f: np.ndarray) -> float:
-        return self.inner(f, f)
-
-    def norm1(self, f: np.ndarray) -> float:
-        return float(np.sum(self.pi * np.abs(f)))
-
     def variance(self, f: np.ndarray) -> float:
-        m = self.mean(f)
-        return self.norm2_sq(f) - m * m
+        m = float(np.sum(self.pi * f))
+        return float(np.sum(self.pi * f * f)) - m * m
 
     def dirichlet(self, f: np.ndarray) -> float:
         """Energy form; equals half the mu-expectation of (f(u)-f(v))^2."""
@@ -103,15 +91,25 @@ class WeightedGraph:
         return 0.5 * float(np.sum(self.edge_w * d * d))
 
     def entropy_sq(self, f: np.ndarray) -> float:
-        """Entropy of f^2 under pi with the 0*log(0)=0 convention."""
-        f2 = f * f
-        n2 = float(np.sum(self.pi * f2))
-        if n2 <= 0.0:
-            return 0.0
-        logs = np.zeros_like(f2)
-        pos = f2 > 0.0
-        logs[pos] = np.log(f2[pos])
-        return float(np.sum(self.pi * f2 * logs)) - n2 * np.log(n2)
+        """Entropy of f^2 under pi (see ``entropy_sq``)."""
+        return entropy_sq(self.pi, f)
+
+
+def log0(x: np.ndarray) -> np.ndarray:
+    """Elementwise log with log(0) = 0, for the 0*log(0) = 0 convention."""
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = np.log(x[pos])
+    return out
+
+
+def entropy_sq(pi: np.ndarray, f: np.ndarray) -> float:
+    """Entropy of f^2 under the measure pi, with 0*log(0) = 0."""
+    f2 = f * f
+    n2 = float(np.sum(pi * f2))
+    if n2 <= 0.0:
+        return 0.0
+    return float(np.sum(pi * f2 * log0(f2))) - n2 * np.log(n2)
 
 
 def _connected_components(n, edge_u, edge_v):
@@ -140,7 +138,11 @@ def _from_arrays(n, edge_u, edge_v, edge_w, *, normalize, check_connected=True):
     order = np.lexsort((edge_v, edge_u))
     edge_u, edge_v, edge_w = edge_u[order], edge_v[order], edge_w[order]
     if normalize:
-        edge_w = edge_w / edge_w.sum()
+        with np.errstate(over="ignore"):
+            total = edge_w.sum()
+        if not np.isfinite(total):
+            raise ValueError("total edge weight overflows")
+        edge_w = edge_w / total
     if check_connected:
         comps = _connected_components(n, edge_u, edge_v)
         if len(comps) != 1:
@@ -386,12 +388,21 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     return build_graph(int(data["n"]), data["edges"])
 
 
-def save_graph(graph: WeightedGraph, path):
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(data, path, indent: int | None = 2):
+    """Sorted-key JSON plus a newline; ``indent=None`` writes it compact."""
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph), fh, sort_keys=True, indent=2)
+        json.dump(data, fh, sort_keys=True, indent=indent)
         fh.write("\n")
 
 
+def save_graph(graph: WeightedGraph, path):
+    write_json(graph_to_dict(graph), path)
+
+
 def load_graph(path) -> WeightedGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(read_json(path))

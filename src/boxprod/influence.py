@@ -32,6 +32,11 @@ def _entropy_rhs(alpha, k, t, l1, l2_sq):
     )
 
 
+def _require_t(t: float):
+    if not (0.0 < t <= T_MAX + 1e-15):
+        raise ValueError(f"t must lie in (0, 1/e^2], got {t}")
+
+
 @dataclass(frozen=True)
 class LemmaCheck:
     lhs: float
@@ -41,8 +46,7 @@ class LemmaCheck:
 
 def main_lemma_check(h: FunctionTable, t: float, alpha: float) -> LemmaCheck:
     """Evaluate both sides of the entropy lemma for an arbitrary table."""
-    if not (0.0 < t <= T_MAX + 1e-15):
-        raise ValueError(f"t must lie in (0, 1/e^2], got {t}")
+    _require_t(t)
     lhs = dirichlet_form(h)
     rhs = _entropy_rhs(alpha, h.k, t, h.norm1(), h.norm2_sq())
     return LemmaCheck(lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - SLACK))
@@ -62,8 +66,7 @@ def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float, *,
     """``corollary_check`` at each t of ``ts``, one list of rows per t.
     Only the right-hand sides depend on t; the rest is computed once."""
     for t in ts:
-        if not (0.0 < t <= T_MAX + 1e-15):
-            raise ValueError(f"t must lie in (0, 1/e^2], got {t}")
+        _require_t(t)
     if not f.boolean_pm1:
         raise ValueError("corollary check requires a {-1,+1}-valued function")
     if basis is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graphs import ProductGraph, WeightedGraph
+from .graphs import ProductGraph, WeightedGraph, log0
 from .spectral import eigendecompose
 
 BRUTE_FORCE_MAX_VERTICES = 25
@@ -142,12 +142,8 @@ def _ls_descend(graph, f0, max_iters, tol):
     step = 0.1
     for _ in range(max_iters):
         f2 = f * f
-        n2 = float(pi @ f2)
-        logs = np.zeros_like(f2)
-        pos = f2 > 0
-        logs[pos] = np.log(f2[pos])
         grad_energy = 2.0 * (lap @ f)
-        grad_ent = 2.0 * pi * f * (logs - math.log(n2))
+        grad_ent = 2.0 * pi * f * (log0(f2) - math.log(float(pi @ f2)))
         grad = (2.0 * grad_energy * ent - 2.0 * energy * grad_ent) / (ent * ent)
         accepted = False
         for _ in range(60):

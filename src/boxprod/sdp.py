@@ -11,7 +11,6 @@ base objective divided by k.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -99,17 +98,12 @@ def lift_vectors(sol: SdpSolution, product: ProductGraph,
     dense = product.to_weighted_graph(max_vertices=max_vertices)
     if not sol.is_feasible(base):
         raise ValueError("input solution violates the spread constraint")
-    k, d = product.k, sol.dim
-    nv = product.num_vertices
-    coords = np.array([product.tuple_of(flat) for flat in range(nv)],
-                      dtype=np.int64)
-    scale = 1.0 / math.sqrt(k)
-    lifted = np.concatenate(
-        [scale * sol.vectors[coords[:, j]] for j in range(k)], axis=1)
-    out = SdpSolution(vectors=lifted)
+    k = product.k
+    coords = np.array(_product_vertices(product), dtype=np.int64)
+    out = SdpSolution(vectors=_direct_sum(sol.vectors, coords))
 
     base_gram = sol.gram()
-    want = np.zeros((nv, nv))
+    want = np.zeros((len(coords), len(coords)))
     for j in range(k):
         want += base_gram[np.ix_(coords[:, j], coords[:, j])]
     want /= k
@@ -129,6 +123,18 @@ class TriangleReport:
     worst: float
     checked: int
     partial: bool
+
+
+def _product_vertices(product: ProductGraph) -> list:
+    """Vertex tuples of the product in flat-index order (sorted)."""
+    return list(itertools.product(range(product.base.n), repeat=product.k))
+
+
+def _direct_sum(vectors: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Row i is (1/sqrt(k)) (+)_j vectors[coords[i, j]]."""
+    scale = 1.0 / math.sqrt(coords.shape[1])
+    return np.concatenate(
+        [scale * vectors[coords[:, j]] for j in range(coords.shape[1])], axis=1)
 
 
 def check_triangle(sol: SdpSolution, *, tol: float = TOL,
@@ -157,8 +163,18 @@ def check_triangle(sol: SdpSolution, *, tol: float = TOL,
 
 # -- local distributions (Sherali-Adams style) -----------------------------------
 
-def _normalize_table(table: dict) -> dict:
-    return {tuple(int(z) for z in key): float(p) for key, p in table.items()}
+def _project(table: dict, pos) -> dict:
+    """Marginal of an assignment table onto the slots ``pos``."""
+    out: dict = {}
+    for assign, p in table.items():
+        key = tuple(assign[i] for i in pos)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def _pair_corr(table: dict) -> float:
+    """Correlation E[z_x z_y] of a table over a pair {x, y}."""
+    return sum(p * z[0] * z[1] for z, p in table.items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +193,8 @@ class LocalDistributions:
 
     def marginal(self, subset, onto) -> dict:
         subset = tuple(sorted(subset))
-        onto = tuple(sorted(onto))
-        pos = [subset.index(v) for v in onto]
-        out: dict = {}
-        for assign, p in self.tables[subset].items():
-            key = tuple(assign[i] for i in pos)
-            out[key] = out.get(key, 0.0) + p
-        return out
+        return _project(self.tables[subset],
+                        [subset.index(v) for v in sorted(onto)])
 
     def check_tables(self, tol: float = TOL):
         for subset, table in self.tables.items():
@@ -220,36 +231,32 @@ class LocalDistributions:
             if len(subset) != 2:
                 continue
             x, y = subset
-            corr = sum(p * z[0] * z[1] for z, p in self.tables[subset].items())
+            corr = _pair_corr(self.tables[subset])
             worst = max(worst, abs(gram[vertex_index(x), vertex_index(y)] - corr))
         return worst
 
 
 def sa_from_distribution(dist: dict, n: int, level: int) -> LocalDistributions:
     """Exact marginals of a global distribution over {-1,+1}^n."""
-    tables = {}
-    for size in range(1, level + 1):
-        for subset in itertools.combinations(range(n), size):
-            table: dict = {}
-            for assign, p in dist.items():
-                key = tuple(assign[v] for v in subset)
-                table[key] = table.get(key, 0.0) + p
-            tables[subset] = table
+    tables = {subset: _project(dist, subset)
+              for size in range(1, level + 1)
+              for subset in itertools.combinations(range(n), size)}
     return LocalDistributions(level=level, tables=tables)
+
+
+def _moment_vector(dist: dict, subset) -> np.ndarray:
+    """Character of ``subset`` over the sorted outcomes, weighted by the
+    square root of their probabilities."""
+    return np.array([math.sqrt(dist[sigma]) * math.prod(sigma[v] for v in subset)
+                     for sigma in sorted(dist)])
 
 
 def vectors_from_distribution(dist: dict) -> SdpSolution:
     """Unit-norm vectors whose Gram matrix realizes the pair moments of a
     global distribution: coordinates indexed by outcomes, entry
     sqrt(p(sigma)) * sigma_x."""
-    outcomes = sorted(dist.keys())
-    n = len(outcomes[0])
-    mat = np.zeros((n, len(outcomes)))
-    for col, sigma in enumerate(outcomes):
-        root = math.sqrt(dist[sigma])
-        for x in range(n):
-            mat[x, col] = root * sigma[x]
-    return SdpSolution(vectors=mat)
+    n = len(next(iter(dist)))
+    return SdpSolution(vectors=np.array([_moment_vector(dist, (x,)) for x in range(n)]))
 
 
 def vectors_from_local_tables(ld: LocalDistributions, n: int,
@@ -265,8 +272,7 @@ def vectors_from_local_tables(ld: LocalDistributions, n: int,
         if len(subset) != 2:
             continue
         x, y = subset
-        corr = sum(p * z[0] * z[1] for z, p in ld.table(subset).items())
-        gram[x, y] = gram[y, x] = corr
+        gram[x, y] = gram[y, x] = _pair_corr(ld.tables[subset])
     evals, evecs = np.linalg.eigh(gram)
     if evals.min() < -tol:
         raise ValueError("local tables have no consistent vector family "
@@ -297,32 +303,23 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
     if sol.n != base_n:
         raise ValueError("solution size does not match the base graph")
     k = product.k
-    nv = product.num_vertices
-    all_vertices = [product.tuple_of(i) for i in range(nv)]
+    all_vertices = _product_vertices(product)
 
     tables = {}
     for size in range(1, ld.level + 1):
         for subset in itertools.combinations(all_vertices, size):
-            subset = tuple(sorted(subset))
             table: dict = {}
             for j in range(k):
-                proj = [x[j] for x in subset]
-                collapsed = tuple(sorted(set(proj)))
-                base_table = ld.table(collapsed)
-                slot = {v: collapsed.index(v) for v in collapsed}
-                for assign, p in base_table.items():
-                    key = tuple(assign[slot[x[j]]] for x in subset)
+                collapsed = tuple(sorted({x[j] for x in subset}))
+                # pos hits every slot of collapsed, so the projection sums
+                # nothing and p / k is added once per coordinate
+                pos = [collapsed.index(x[j]) for x in subset]
+                for key, p in _project(ld.tables[collapsed], pos).items():
                     table[key] = table.get(key, 0.0) + p / k
             tables[subset] = table
     lifted_ld = LocalDistributions(level=ld.level, tables=tables)
-
-    d = sol.dim
-    lifted_vecs = np.zeros((nv, k * d))
-    scale = 1.0 / math.sqrt(k)
-    for flat, tup in enumerate(all_vertices):
-        for j, xj in enumerate(tup):
-            lifted_vecs[flat, j * d:(j + 1) * d] = scale * sol.vectors[xj]
-    lifted_sol = SdpSolution(vectors=lifted_vecs)
+    lifted_sol = SdpSolution(vectors=_direct_sum(
+        sol.vectors, np.array(all_vertices, dtype=np.int64)))
 
     lifted_ld.check_tables()
     index = {tup: i for i, tup in enumerate(all_vertices)}
@@ -374,15 +371,9 @@ def parity_projection(subset, j: int):
 def lasserre_from_distribution(dist: dict, n: int, level: int) -> SetVectorSolution:
     """Moment vectors of a global distribution: index-set character values
     weighted by sqrt of the probability."""
-    outcomes = sorted(dist.keys())
-    vectors = {}
-    for size in range(level + 1):
-        for subset in itertools.combinations(range(n), size):
-            vec = np.array([
-                math.sqrt(dist[sigma]) * np.prod([sigma[v] for v in subset])
-                for sigma in outcomes
-            ])
-            vectors[subset] = vec
+    vectors = {subset: _moment_vector(dist, subset)
+               for size in range(level + 1)
+               for subset in itertools.combinations(range(n), size)}
     return SetVectorSolution(level=level, vectors=vectors)
 
 
@@ -395,8 +386,7 @@ def lift_lasserre(ls: SetVectorSolution, product: ProductGraph, level: int,
         raise ValueError(
             f"requested level {level} exceeds base solution level {ls.level}")
     k = product.k
-    nv = product.num_vertices
-    all_vertices = [product.tuple_of(i) for i in range(nv)]
+    all_vertices = _product_vertices(product)
     scale = 1.0 / math.sqrt(k)
     vectors = {}
     count = 0
@@ -409,7 +399,7 @@ def lift_lasserre(ls: SetVectorSolution, product: ProductGraph, level: int,
             for j in range(k):
                 tj = tuple(sorted(parity_projection(subset, j)))
                 parts.append(scale * ls.vectors[tj])
-            vectors[tuple(sorted(subset))] = np.concatenate(parts)
+            vectors[subset] = np.concatenate(parts)
     return SetVectorSolution(level=level, vectors=vectors)
 
 
@@ -459,7 +449,10 @@ def _assignment_key(assign) -> str:
     return "".join("+" if z > 0 else "-" for z in assign)
 
 
-def _assignment_from_key(key: str):
+def _assignment_from_key(key: str, size: int):
+    if len(key) != size or not set(key) <= {"+", "-"}:
+        raise ValueError(f"SA assignment key {key!r} needs one sign + or - "
+                         f"per vertex of its {size}-set")
     return tuple(1 if ch == "+" else -1 for ch in key)
 
 
@@ -488,6 +481,9 @@ def sa_to_dict(ld: LocalDistributions) -> dict:
 def _require_family(subsets, n: int, low: int, level: int, kind: str):
     """Every subset of ``range(n)`` with ``low..level`` elements and no
     other; the keys are distinct, so counting the valid ones suffices."""
+    if level < low:
+        raise ValueError(f"{kind} file must hold every subset of {low}..t "
+                         f"vertices for a level t >= {low}, not {level}")
     count = sum(math.comb(n, m) for m in range(low, min(level, n) + 1))
     if len(subsets) != count or not all(
             len(set(s)) == len(s) and low <= len(s) <= level
@@ -501,7 +497,7 @@ def sa_from_dict(data: dict, n: int) -> LocalDistributions:
     for entry in data["dists"]:
         subset = tuple(sorted(int(v) for v in entry["T"]))
         tables[subset] = {
-            _assignment_from_key(key): float(p)
+            _assignment_from_key(key, len(subset)): float(p)
             for key, p in entry["probs"].items()
         }
     _require_family(tables, n, 1, int(data["t"]), "SA")
@@ -525,14 +521,3 @@ def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
         vectors[subset] = np.asarray(entry["vec"], dtype=np.float64)
     _require_family(vectors, n, 0, int(data["t"]), "Lasserre")
     return SetVectorSolution(level=int(data["t"]), vectors=vectors)
-
-
-def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def save_json(data: dict, path):
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -1,6 +1,7 @@
 """CLI: exit codes, report schema, determinism, file inputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,8 @@ def test_non_finite_weight_exit_one_without_traceback(tmp_path, capsys, literal)
     ("--lasserre-file", {"t": 2, "sets": [{"S": [], "vec": [1.0]},
                                           {"S": [0], "vec": [1.0]}]},
      "Lasserre"),
+    ("--sa-file", {"t": -1, "dists": []}, "SA"),
+    ("--lasserre-file", {"t": -1, "sets": []}, "Lasserre"),
 ])
 def test_incomplete_hierarchy_file_exit_one(tmp_path, capsys, flag, data, kind):
     path = tmp_path / "family.json"
@@ -144,6 +147,60 @@ def test_incomplete_hierarchy_file_exit_one(tmp_path, capsys, flag, data, kind):
     assert code == 1
     assert err.startswith(f"error: {kind} file must hold every subset")
     assert "Traceback" not in err
+
+
+def test_sa_key_without_a_sign_per_vertex_exit_one(tmp_path, capsys):
+    path = tmp_path / "sa.json"
+    path.write_text(json.dumps({"t": 2, "dists": [
+        {"T": [0], "probs": {"+": 0.5, "-": 0.5}},
+        {"T": [1], "probs": {"+": 0.5, "-": 0.5}},
+        {"T": [0, 1], "probs": {"+": 1.0}}]}))
+    code = run(["sdp-lift", "--builtin", "k2", "--k", "2", "--sa-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: SA assignment key '+'")
+    assert "Traceback" not in err
+
+
+def test_library_assertion_exit_two_without_traceback(tmp_path, capsys):
+    # spread 1, but Gram entries near 1e8 miss the absolute 1e-9 tolerance
+    path = tmp_path / "sdp.json"
+    path.write_text(json.dumps(
+        {"d": 1, "vectors": [[1e4 + 2 ** -0.5], [1e4 - 2 ** -0.5]]}))
+    code = run(["sdp-lift", "--builtin", "k2", "--k", "2", "--sdp-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "check failed: lifted Gram is not the coordinate mean\n"
+
+
+GOLDEN = {
+    "isoperimetry": ["isoperimetry", "--builtin", "k2", "--k", "2", "--seed", "3"],
+    "kkl": ["kkl", "--builtin", "k2", "--k", "3", "--fn", "random", "--seed", "3"],
+    "friedgut": ["friedgut", "--builtin", "k2", "--k", "4", "--fn", "dictator",
+                 "--seed", "3"],
+    "sdp-lift": ["sdp-lift", "--builtin", "k2", "--k", "2", "--seed", "3"],
+    # a cut mixture whose lifted SA tables and vectors show rounding gaps
+    "sdp-lift-files": ["sdp-lift", "--builtin", "cycle:5", "--k", "2", "--seed", "3",
+                       "--sdp-file", "cycle5.sdp.json", "--sa-file", "cycle5.sa.json",
+                       "--lasserre-file", "cycle5.lasserre.json"],
+    # at k = 3 the lifted SA gaps also depend on the order of the p / k sums
+    "sdp-lift-k3-files": ["sdp-lift", "--builtin", "k2", "--k", "3", "--seed", "3",
+                          "--sa-file", "k2.sa.json", "--lasserre-file",
+                          "k2.lasserre.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_saved_bytes(name, monkeypatch, capsys):
+    # tests/data holds reports saved before refactors; the input files are
+    # named relative to it because the report records their paths
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data)
+    code = run(GOLDEN[name])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (data / f"{name}.report.json").read_text()
 
 
 def test_isoperimetry_runs_each_descent_and_scan_once(monkeypatch, capsys):

@@ -45,6 +45,11 @@ def test_rejects_non_finite_weight(weight):
         bp.build_graph(3, [(0, 1, 1.0), (1, 2, weight)])
 
 
+def test_rejects_overflowing_total_weight():
+    with pytest.raises(ValueError, match="total edge weight overflows"):
+        bp.build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+
+
 def test_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate"):
         bp.build_graph(2, [(0, 1, 1.0), (1, 0, 2.0)])

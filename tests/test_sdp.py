@@ -337,3 +337,21 @@ def test_incomplete_lasserre_family_rejected():
         lasserre_from_dict({"t": 2, "sets": sets}, 2)
     with pytest.raises(ValueError, match="Lasserre file must hold every subset"):
         lasserre_from_dict({"t": 1, "sets": sets[1:]}, 2)
+    with pytest.raises(ValueError, match="level t >= 0, not -1"):
+        lasserre_from_dict({"t": -1, "sets": []}, 2)
+
+
+@pytest.mark.parametrize("data, match", [
+    ({"t": -1, "dists": []}, "level t >= 1, not -1"),
+    # a key needs one sign per vertex of its set, each + or -
+    ({"t": 2, "dists": [{"T": [0], "probs": {"+": 0.5, "-": 0.5}},
+                        {"T": [1], "probs": {"+": 0.5, "-": 0.5}},
+                        {"T": [0, 1], "probs": {"+": 1.0}}]}, "key '\\+'"),
+    ({"t": 1, "dists": [{"T": [0], "probs": {"x": 0.5, "-": 0.5}},
+                        {"T": [1], "probs": {"+": 0.5, "-": 0.5}}]}, "key 'x'"),
+], ids=["level", "short-key", "non-sign-key"])
+def test_malformed_sa_file_rejected(data, match):
+    from boxprod.sdp import sa_from_dict
+
+    with pytest.raises(ValueError, match=match):
+        sa_from_dict(data, 2)
