@@ -21,8 +21,8 @@ from . import __version__
 from .functions import (dictator, function_to_dict, load_function, parity,
                         random_boolean)
 from .gadgets import named_graph
-from .graphs import (cartesian_power, complete_graph, graph_to_dict, load_graph,
-                     path_graph, read_json, write_json)
+from .graphs import (DENSE_CAP, cartesian_power, complete_graph, graph_to_dict,
+                     load_graph, path_graph, read_json, write_json)
 from .influence import corollary_sweep, friedgut_extract, is_junta_on, kkl_report
 from .isoperimetry import (conductance_bruteforce, log_sobolev_estimate,
                            product_scaling_report)
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--samples", type=int, default=100_000)
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", help="write the report here instead of stdout")
-        cmd.add_argument("--max-dense", type=int, default=1 << 22, dest="max_dense")
+        cmd.add_argument("--max-dense", type=int, default=DENSE_CAP, dest="max_dense")
         if name in ("kkl", "friedgut"):
             cmd.add_argument("--function", help="function JSON file")
             cmd.add_argument("--fn", default="random",
@@ -116,6 +116,13 @@ def _influence_setup(args):
     if base.n == 2 and base.num_edges == 1:
         return base, f, 2.0, "certified"
     return base, f, log_sobolev_estimate(base, seed=args.seed).alpha_hat, "estimated"
+
+
+def _t_level(args) -> int:
+    """The hierarchy level; a family below level 1 would check nothing."""
+    if args.t_level < 1:
+        raise UsageError(f"--t-level must be >= 1, not {args.t_level}")
+    return args.t_level
 
 
 def _check(name, passed, detail):
@@ -223,6 +230,7 @@ def cmd_friedgut(args) -> dict:
 
 
 def cmd_sdp_lift(args) -> dict:
+    t_level = _t_level(args)
     base = _resolve_graph(args)
     product = cartesian_power(base, args.k, dense_cap=args.max_dense)
     dense = product.to_weighted_graph()
@@ -230,7 +238,10 @@ def cmd_sdp_lift(args) -> dict:
     results = {}
 
     if args.sdp_file:
-        sol = sdp_from_dict(read_json(args.sdp_file))
+        sol = read_json(args.sdp_file, sdp_from_dict)
+        if sol.n != base.n:
+            raise ValueError(f"SDP file has {sol.n} vectors for the "
+                             f"{base.n} vertices of the base graph")
     else:
         _, sol = basic_sdp_opt(base)
     base_obj = sol.objective(base)
@@ -255,12 +266,12 @@ def cmd_sdp_lift(args) -> dict:
     phi, witness = conductance_bruteforce(base)
     cut_dist = uniform_cut_distribution(base.n, witness)
     if args.sa_file:
-        ld = sa_from_dict(read_json(args.sa_file), base.n)
+        ld = read_json(args.sa_file, sa_from_dict, base.n)
         # pair the tables with vectors factored from their own moments so
         # the SA file is self-contained
         sa_vecs = vectors_from_local_tables(ld, base.n)
     else:
-        ld = sa_from_distribution(cut_dist, base.n, args.t_level)
+        ld = sa_from_distribution(cut_dist, base.n, t_level)
         sa_vecs = vectors_from_distribution(cut_dist)
     _, _, marginal_gap, vector_gap = lift_sherali_adams(ld, sa_vecs, product)
     results["sa_marginal_gap"] = marginal_gap
@@ -271,10 +282,10 @@ def cmd_sdp_lift(args) -> dict:
                          {"marginal_gap": marginal_gap, "vector_gap": vector_gap}))
 
     if args.lasserre_file:
-        ls = lasserre_from_dict(read_json(args.lasserre_file), base.n)
+        ls = read_json(args.lasserre_file, lasserre_from_dict, base.n)
     else:
-        ls = lasserre_from_distribution(cut_dist, base.n, args.t_level)
-    lifted_ls = lift_lasserre(ls, product, min(args.t_level, ls.level))
+        ls = lasserre_from_distribution(cut_dist, base.n, t_level)
+    lifted_ls = lift_lasserre(ls, product, min(t_level, ls.level))
     delta_gap = lifted_ls.check_delta_consistency()
     results["lasserre_delta_gap"] = delta_gap
     checks.append(_check("lasserre_delta_consistency",
@@ -284,6 +295,7 @@ def cmd_sdp_lift(args) -> dict:
 
 
 def cmd_examples(args) -> dict:
+    t_level = _t_level(args)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -301,9 +313,9 @@ def cmd_examples(args) -> dict:
     _, sol = basic_sdp_opt(k2)
     emit("k2.sdp.json", sdp_to_dict(sol))
     dist = uniform_cut_distribution(2, (0,))
-    emit("k2.sa.json", sa_to_dict(sa_from_distribution(dist, 2, args.t_level)))
+    emit("k2.sa.json", sa_to_dict(sa_from_distribution(dist, 2, t_level)))
     emit("k2.lasserre.json",
-         lasserre_to_dict(lasserre_from_distribution(dist, 2, args.t_level)))
+         lasserre_to_dict(lasserre_from_distribution(dist, 2, t_level)))
     return {"results": {"written": written, "directory": out_dir}, "checks": []}
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .graphs import ProductGraph, entropy_sq, read_json, write_json
 
 BOOL_TOL = 1e-12
+# slack of the norm and variance bounds
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +156,7 @@ class Decomposition:
         return total
 
 
-def check_l2_l1_bounds(f: FunctionTable, dec: Decomposition, slack: float = 1e-9):
+def check_l2_l1_bounds(f: FunctionTable, dec: Decomposition):
     """Per-coordinate norm bounds of the decomposition parts.
 
     For Boolean f, both the squared 2-norm and the 1-norm of part j are
@@ -173,17 +175,17 @@ def check_l2_l1_bounds(f: FunctionTable, dec: Decomposition, slack: float = 1e-9
             "l2_sq": l2_sq,
             "l1": l1,
             "var_j": vj,
-            "ok_l2": bool(l2_sq <= vj + slack),
-            "ok_l1": bool(l1 <= vj + slack),
+            "ok_l2": bool(l2_sq <= vj + BOUND_SLACK),
+            "ok_l1": bool(l1 <= vj + BOUND_SLACK),
         })
     return rows
 
 
-def efron_stein_check(f: FunctionTable, slack: float = 1e-9):
+def efron_stein_check(f: FunctionTable):
     """Return (sum of coordinate variances, variance); the sum dominates."""
     lhs = sum(f.variance_along(j) for j in range(f.k))
     rhs = f.variance()
-    if lhs < rhs - slack:
+    if lhs < rhs - BOUND_SLACK:
         raise AssertionError(
             f"variance subadditivity violated: {lhs} < {rhs}"
         )
@@ -207,4 +209,4 @@ def save_function(f: FunctionTable, path):
 
 
 def load_function(path, product: ProductGraph) -> FunctionTable:
-    return function_from_dict(read_json(path), product)
+    return read_json(path, function_from_dict, product)

@@ -90,9 +90,6 @@ class ConsecutiveOnesFunction:
     """Boolean predicate on tuples of necklace classes: +1 iff some
     coordinate's class has ceil(log2(k*r)) cyclically consecutive ones."""
 
-    graph: WeightedGraph
-    r: int
-    k: int
     run_length: int
     class_has_run: np.ndarray
 
@@ -109,19 +106,15 @@ class ConsecutiveOnesFunction:
 
 
 def consecutive_ones_function(r: int, k: int,
-                              graph: WeightedGraph | None = None) -> ConsecutiveOnesFunction:
+                              graph: WeightedGraph) -> ConsecutiveOnesFunction:
     if k * r < 4:
         raise ValueError("need k*r >= 4")
-    if graph is None:
-        graph = build_necklace(r)
     run = math.ceil(math.log2(k * r))
     reps = necklace_classes(r)
     if len(reps) != graph.n:
         raise ValueError("graph does not match necklace(r)")
     return ConsecutiveOnesFunction(
-        graph=graph, r=r, k=k, run_length=run,
-        class_has_run=_has_cyclic_run(reps, r, run),
-    )
+        run_length=run, class_has_run=_has_cyclic_run(reps, r, run))
 
 
 # -- sampling estimators ---------------------------------------------------------
@@ -130,7 +123,6 @@ def consecutive_ones_function(r: int, k: int,
 class MonteCarloEstimate:
     estimate: float
     half_width: float
-    samples: int
 
 
 def _evaluate(fn, tuples: np.ndarray) -> np.ndarray:
@@ -162,11 +154,8 @@ def influence_monte_carlo(fn, graph: WeightedGraph, k: int, j: int,
     z = 0.5 * (_evaluate(fn, xu) - _evaluate(fn, xv)) ** 2
     est = float(z.mean())
     spread = float(z.std(ddof=1)) if samples > 1 else 0.0
-    return MonteCarloEstimate(
-        estimate=est,
-        half_width=1.96 * spread / math.sqrt(samples),
-        samples=samples,
-    )
+    return MonteCarloEstimate(estimate=est,
+                              half_width=1.96 * spread / math.sqrt(samples))
 
 
 def probability_minus_one(fn, graph: WeightedGraph, k: int,
@@ -178,7 +167,7 @@ def probability_minus_one(fn, graph: WeightedGraph, k: int,
     hits = (_evaluate(fn, xs) < 0).astype(np.float64)
     p = float(hits.mean())
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
-    return MonteCarloEstimate(estimate=p, half_width=se, samples=samples)
+    return MonteCarloEstimate(estimate=p, half_width=se)
 
 
 # -- builtin registry -------------------------------------------------------------

@@ -192,12 +192,11 @@ class MeasureReport:
     """Residuals of the edge/vertex measure consistency conditions."""
 
     residuals: np.ndarray
-    mass_error: float
     worst_vertex: int
     passed: bool
 
 
-def validate_measures(graph: WeightedGraph, tol: float = MEASURE_TOL) -> MeasureReport:
+def validate_measures(graph: WeightedGraph) -> MeasureReport:
     """Check 2*pi(v) = sum_u mu({u,v}) per vertex and sum(mu) = 1."""
     row = np.zeros(graph.n)
     np.add.at(row, graph.edge_u, graph.edge_w)
@@ -205,9 +204,8 @@ def validate_measures(graph: WeightedGraph, tol: float = MEASURE_TOL) -> Measure
     residuals = np.abs(2.0 * graph.pi - row)
     mass_error = abs(float(graph.edge_w.sum()) - 1.0)
     worst = int(np.argmax(residuals))
-    passed = bool(residuals.max() < tol and mass_error < tol)
-    return MeasureReport(residuals=residuals, mass_error=mass_error,
-                         worst_vertex=worst, passed=passed)
+    passed = bool(residuals.max() < MEASURE_TOL and mass_error < MEASURE_TOL)
+    return MeasureReport(residuals=residuals, worst_vertex=worst, passed=passed)
 
 
 # -- builtin families --------------------------------------------------------
@@ -388,9 +386,16 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     return build_graph(int(data["n"]), data["edges"])
 
 
-def read_json(path):
+def read_json(path, parse, *args):
+    """``parse(document, *args)`` of a JSON file; a document of the wrong
+    shape (a list for an object, a missing key, a null) raises ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return parse(data, *args)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed document in {path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
 
 def write_json(data, path, indent: int | None = 2):
@@ -405,4 +410,4 @@ def save_graph(graph: WeightedGraph, path):
 
 
 def load_graph(path) -> WeightedGraph:
-    return graph_from_dict(read_json(path))
+    return read_json(path, graph_from_dict)

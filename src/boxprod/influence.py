@@ -143,8 +143,8 @@ def kkl_report(f: FunctionTable, alpha: float) -> InfluenceReport:
 class JuntaResult:
     """Output of the junta extraction: coordinates kept, the rounded
     Boolean junta, its squared distance from the input, the variance
-    threshold used, and the guaranteed bound on the junta size
-    (exp(50 k I / (eps alpha)), also carried in log form)."""
+    threshold used, and the log of the guaranteed bound on the junta size
+    (50 k I / (eps alpha))."""
 
     junta: tuple
     g_tilde: FunctionTable
@@ -152,7 +152,6 @@ class JuntaResult:
     distance: float
     threshold: float
     size_bound_log: float
-    size_bound: float
     dirichlet: float
     coordinate_variances: np.ndarray
 
@@ -174,7 +173,7 @@ def _truncate_to_junta(f, basis, junta):
 
 
 def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
-                     phi: float, *, basis: SpectralBasis | None = None) -> JuntaResult:
+                     phi: float) -> JuntaResult:
     """Extract a Boolean junta within squared distance epsilon of f.
 
     Coordinates are kept when their variance clears the threshold
@@ -187,8 +186,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
         raise ValueError("junta extraction requires a {-1,+1}-valued function")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    if basis is None:
-        basis = eigendecompose(f.product.base)
+    basis = eigendecompose(f.product.base)
     k = f.k
     var_j = np.array([f.variance_along(j) for j in range(k)])
     energy = dirichlet_form(f)
@@ -199,7 +197,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
         g_tilde = f.with_values(np.full(f.product.num_vertices, constant))
         return JuntaResult(
             junta=(), g_tilde=g_tilde, g_real=g_tilde, distance=0.0,
-            threshold=math.inf, size_bound_log=0.0, size_bound=1.0,
+            threshold=math.inf, size_bound_log=0.0,
             dirichlet=energy, coordinate_variances=var_j,
         )
     if energy <= 0.0:
@@ -223,10 +221,6 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
     real_distance = float(np.sum(f.product.pi_product() * real_diff * real_diff))
 
     size_bound_log = 50.0 * k * energy / (epsilon * alpha)
-    try:
-        size_bound = math.exp(size_bound_log)
-    except OverflowError:
-        size_bound = math.inf
 
     if distance > epsilon + SLACK:
         raise AssertionError(
@@ -248,7 +242,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
     return JuntaResult(
         junta=junta, g_tilde=g_tilde, g_real=g_real, distance=distance,
         threshold=threshold, size_bound_log=size_bound_log,
-        size_bound=size_bound, dirichlet=energy, coordinate_variances=var_j,
+        dirichlet=energy, coordinate_variances=var_j,
     )
 
 

@@ -16,11 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .graphs import ProductGraph, WeightedGraph, log0
+from .graphs import ProductGraph, WeightedGraph, cartesian_power, log0
 from .spectral import eigendecompose
 
 BRUTE_FORCE_MAX_VERTICES = 25
+SCAN_SLACK = 1e-11
+CANDIDATE_CAP = 1 << 16
+# largest temporary of the subset scan, in entries
+SCAN_BLOCK_ENTRIES = 1 << 20
+# the log-Sobolev descent: vertex limit, starts, iterations per start and
+# the relative improvement below which a start stops
+LS_MAX_VERTICES = 200
+LS_RESTARTS = 12
+LS_MAX_ITERS = 4000
+LS_TOL = 1e-12
 ENTROPY_FLOOR = 1e-11
 CHAIN_REL_TOL = 0.02
 
@@ -62,6 +71,99 @@ def cut_ratio(graph: WeightedGraph, mask: int) -> float:
     return float(cut_ratios(graph, [mask])[0])
 
 
+# -- subset cut scan ----------------------------------------------------------
+
+def _subset_bits(k):
+    """Row i holds the indicator of subset mask i of k vertices."""
+    masks = np.arange(1 << k, dtype=np.int64)
+    return ((masks[:, None] >> np.arange(k)) & 1).astype(np.float64)
+
+
+def _ratio_blocks(graph):
+    """Yield (masks, ratios) for every subset holding vertex 0, a block
+    of rows at a time, by meet in the middle (Horowitz & Sahni 1974).
+
+    With L = 2 * graph.laplacian, the weighted combinatorial Laplacian,
+    the cut of an indicator b is b^T L b.  Splitting b into the low
+    vertices A and the high vertices C gives, for all subsets at once,
+    cut = qA[:, None] + qC[None, :] + b_A^T (2 L_AC) b_C, and the
+    volumes of S and of its complement separate the same way.  Rows are
+    the low-half subsets holding vertex 0, columns all high-half subsets.
+    """
+    n = graph.n
+    h = (n + 1) // 2
+    lap = 2.0 * graph.laplacian
+    low = _subset_bits(h)[1::2]
+    high = _subset_bits(n - h)
+    low_masks = np.arange(1, 1 << h, 2, dtype=np.int64)
+    high_masks = np.arange(1 << (n - h), dtype=np.int64) << h
+    q_low = np.einsum("ij,jk,ik->i", low, lap[:h, :h], low)
+    q_high = np.einsum("ij,jk,ik->i", high, lap[h:, h:], high)
+    cross = low @ (2.0 * lap[:h, h:])
+    vol_low, vol_high = low @ graph.pi[:h], high @ graph.pi[h:]
+    rest_low, rest_high = (1.0 - low) @ graph.pi[:h], (1.0 - high) @ graph.pi[h:]
+    step = max(1, SCAN_BLOCK_ENTRIES // len(high_masks))
+    for start in range(0, len(low_masks), step):
+        rows = slice(start, start + step)
+        cut = cross[rows] @ high.T
+        cut += q_low[rows, None]
+        cut += q_high
+        den = vol_low[rows, None] + vol_high
+        den *= rest_low[rows, None] + rest_high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(cut, den, out=cut)
+        cut *= 0.25
+        if start + step >= len(low_masks):
+            # the full vertex set: its complement has no volume
+            cut[-1, -1] = np.inf
+        yield low_masks[rows, None] | high_masks, cut
+
+
+def _collect(graph, threshold):
+    """Masks holding vertex 0 whose scanned ratio is at most threshold."""
+    hits = []
+    count = 0
+    for masks, ratio in _ratio_blocks(graph):
+        hits.append(masks[ratio <= threshold])
+        count += len(hits[-1])
+        if 2 * count > CANDIDATE_CAP:
+            raise RuntimeError("degenerate cut-ratio plateau; too many candidates")
+    return np.concatenate(hits)
+
+
+def _subset_scan(graph):
+    """Candidate minimizers of the cut ratio: the masks holding vertex 0
+    whose scanned ratio is within SCAN_SLACK of the scanned minimum.
+
+    A subset and its complement have bitwise-equal canonical ratios, and
+    the one holding vertex 0 is lexicographically smaller, so scanning
+    half of the subsets loses no witness.  Raises RuntimeError when more
+    than CANDIDATE_CAP subsets, complements counted, tie.  The scan may
+    round differently from ``cut_ratios``, which re-checks the candidates,
+    so only its candidate set matters.
+    """
+    best = np.inf
+    kept_masks, kept_ratios = np.zeros(0, dtype=np.int64), np.zeros(0)
+    plateau = None
+    for masks, ratio in _ratio_blocks(graph):
+        best = min(best, float(ratio.min()))
+        if plateau is not None:
+            continue
+        near = ratio <= best + SCAN_SLACK
+        masks = np.concatenate((kept_masks, masks[near]))
+        ratio = np.concatenate((kept_ratios, ratio[near]))
+        near = ratio <= best + SCAN_SLACK
+        kept_masks, kept_ratios = masks[near], ratio[near]
+        if 2 * len(kept_masks) > CANDIDATE_CAP:
+            # stop collecting; rescan if a later block lowers the minimum
+            plateau = best
+    if plateau is None:
+        return kept_masks
+    if best == plateau:
+        raise RuntimeError("degenerate cut-ratio plateau; too many candidates")
+    return _collect(graph, best + SCAN_SLACK)
+
+
 def _lex_min(masks: np.ndarray) -> int:
     """The mask, of a non-empty array, whose sorted vertex list is
     lexicographically smallest.
@@ -89,7 +191,7 @@ def conductance_bruteforce(graph_or_product):
             f"{graph.n} vertices is beyond exhaustive enumeration; "
             "use conductance_functional on candidate cuts instead"
         )
-    candidates = _kernels.subset_scan(graph)
+    candidates = _subset_scan(graph)
     ratios = cut_ratios(graph, candidates)
     best = ratios.min()
     best_mask = _lex_min(candidates[ratios == best])
@@ -112,13 +214,11 @@ def conductance_functional(graph: WeightedGraph, f: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LogSobolevEstimate:
-    """Best found ratio (an upper bound on the true constant), its witness,
-    and an advisory random-sample minimum (also an upper bound, reported
-    separately as non-certified context)."""
+    """Best found ratio (an upper bound on the true constant), its witness
+    and the number of descent starts."""
 
     alpha_hat: float
     witness: np.ndarray
-    sample_min: float
     restarts: int
 
     def __post_init__(self):
@@ -131,7 +231,7 @@ def _ls_ratio(graph: WeightedGraph, f: np.ndarray):
     return energy, ent
 
 
-def _ls_descend(graph, f0, max_iters, tol):
+def _ls_descend(graph, f0):
     pi = graph.pi
     f = f0 / math.sqrt(float(pi @ (f0 * f0)))
     energy, ent = _ls_ratio(graph, f)
@@ -140,7 +240,7 @@ def _ls_descend(graph, f0, max_iters, tol):
     ratio = 2.0 * energy / ent
     lap = graph.laplacian
     step = 0.1
-    for _ in range(max_iters):
+    for _ in range(LS_MAX_ITERS):
         f2 = f * f
         grad_energy = 2.0 * (lap @ f)
         grad_ent = 2.0 * pi * f * (log0(f2) - math.log(float(pi @ f2)))
@@ -160,43 +260,36 @@ def _ls_descend(graph, f0, max_iters, tol):
         rel = (ratio - new_ratio) / max(abs(ratio), 1e-30)
         f, ratio, energy, ent = cand, new_ratio, c_energy, c_ent
         step *= 1.25
-        if rel < tol:
+        if rel < LS_TOL:
             break
     return ratio, f
 
 
-def log_sobolev_estimate(graph: WeightedGraph, *, restarts: int = 12,
-                         max_iters: int = 4000, tol: float = 1e-12,
+def log_sobolev_estimate(graph: WeightedGraph, *,
                          seed: int = 0) -> LogSobolevEstimate:
     """Multi-start projected descent of 2*energy/entropy over the unit
     sphere.  The result certifies an upper bound on the log-Sobolev
     constant through its stored witness."""
-    if graph.n > 200:
-        raise ValueError("log-Sobolev estimation is limited to n <= 200")
+    if graph.n > LS_MAX_VERTICES:
+        raise ValueError(
+            f"log-Sobolev estimation is limited to n <= {LS_MAX_VERTICES}")
     rng = np.random.default_rng(seed)
     n = graph.n
     basis = eigendecompose(graph)
     starts = [np.ones(n) + 0.1 * basis.eigenfunctions[:, 1]]
-    half = max(restarts // 2, 1)
+    half = LS_RESTARTS // 2
     starts += [np.ones(n) + 0.2 * rng.standard_normal(n) for _ in range(half)]
-    starts += [rng.standard_normal(n) for _ in range(restarts - half)]
+    starts += [rng.standard_normal(n) for _ in range(LS_RESTARTS - half)]
     best = math.inf
     witness = None
     for f0 in starts:
-        ratio, f = _ls_descend(graph, f0, max_iters, tol)
+        ratio, f = _ls_descend(graph, f0)
         if ratio < best:
             best, witness = ratio, f
     if witness is None or not math.isfinite(best):
         raise RuntimeError("all descent restarts were entropy-degenerate")
-    samples = []
-    for _ in range(256):
-        f = rng.standard_normal(n)
-        energy, ent = _ls_ratio(graph, f)
-        if ent >= ENTROPY_FLOOR:
-            samples.append(2.0 * energy / ent)
-    sample_min = min(samples) if samples else math.inf
     return LogSobolevEstimate(alpha_hat=best, witness=witness,
-                              sample_min=sample_min, restarts=len(starts))
+                              restarts=len(starts))
 
 
 def witness_ratio(graph: WeightedGraph, f: np.ndarray) -> float:
@@ -224,8 +317,7 @@ class ChainReport:
         return self.alpha_le_lambda and self.lambda_le_2phi
 
 
-def _chain_report(est: LogSobolevEstimate, lam1: float, scan,
-                  rel_tol: float = CHAIN_REL_TOL) -> ChainReport:
+def _chain_report(est: LogSobolevEstimate, lam1: float, scan) -> ChainReport:
     phi, witness = scan
     return ChainReport(
         alpha_hat=est.alpha_hat,
@@ -233,13 +325,12 @@ def _chain_report(est: LogSobolevEstimate, lam1: float, scan,
         lambda1=lam1,
         phi=phi,
         phi_witness=witness,
-        alpha_le_lambda=bool(est.alpha_hat <= lam1 * (1.0 + rel_tol) + 1e-12),
+        alpha_le_lambda=bool(est.alpha_hat <= lam1 * (1.0 + CHAIN_REL_TOL) + 1e-12),
         lambda_le_2phi=bool(lam1 <= 2.0 * phi + 1e-9),
     )
 
 
-def chain_check(graph_or_product, *, seed: int = 0,
-                rel_tol: float = CHAIN_REL_TOL) -> ChainReport:
+def chain_check(graph_or_product, *, seed: int = 0) -> ChainReport:
     """Verify alpha_hat <= lambda_1 <= 2*Phi, with a relative tolerance on
     the first comparison to absorb estimator slack.  Both witnesses ride
     along: the conductance set reproduces phi and the log-Sobolev
@@ -247,7 +338,7 @@ def chain_check(graph_or_product, *, seed: int = 0,
     graph = _as_graph(graph_or_product)
     est = log_sobolev_estimate(graph, seed=seed)
     lam1 = eigendecompose(graph).lambda1
-    return _chain_report(est, lam1, conductance_bruteforce(graph), rel_tol)
+    return _chain_report(est, lam1, conductance_bruteforce(graph))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +375,7 @@ def _exact_and_estimate(graph: WeightedGraph, seed: int):
     """``(phi, witness)`` and the log-Sobolev estimate of a graph, each
     None where its exhaustive or dense computation is infeasible."""
     scan = conductance_bruteforce(graph) if graph.n <= BRUTE_FORCE_MAX_VERTICES else None
-    est = log_sobolev_estimate(graph, seed=seed) if graph.n <= 200 else None
+    est = log_sobolev_estimate(graph, seed=seed) if graph.n <= LS_MAX_VERTICES else None
     return scan, est
 
 
@@ -295,8 +386,7 @@ def product_scaling_report(base: WeightedGraph, k: int, *,
     dense computation is infeasible at either level are left out and the
     report marked partial.  Where phi and alpha are both computed, the
     report also carries the inequality chain built from them."""
-    from .graphs import cartesian_power
-
+    product = cartesian_power(base, k)  # refuses k < 1 before dividing by k
     base_scan, base_est = _exact_and_estimate(base, seed)
     lam_base = eigendecompose(base).lambda1
     # spectral averaging rule: the smallest nonzero mean of coordinate
@@ -304,9 +394,9 @@ def product_scaling_report(base: WeightedGraph, k: int, *,
     lam_product = lam_base / k
 
     prod_scan = prod_est = dense = None
-    if base.n ** k <= 200:
+    if product.num_vertices <= LS_MAX_VERTICES:
         # at k = 1 the materialized product is the base graph itself
-        dense = cartesian_power(base, k).to_weighted_graph()
+        dense = product.to_weighted_graph()
         prod_scan, prod_est = ((base_scan, base_est) if dense is base
                                else _exact_and_estimate(dense, seed))
     return ScalingReport(

@@ -16,11 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .graphs import ProductGraph, WeightedGraph
 from .spectral import eigendecompose
 
 TOL = 1e-9
+# tolerance of the moment-matrix factorization of level-2 tables
+FACTOR_TOL = 1e-7
+LIFT_MAX_VERTICES = 1 << 10
+LIFT_MAX_SETS = 20000
+# rows of x per block of the triangle scan
+TRIANGLE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +61,8 @@ class SdpSolution:
         mean_vec = graph.pi @ self.vectors
         return 2.0 * (second - float(mean_vec @ mean_vec))
 
-    def is_feasible(self, graph: WeightedGraph, tol: float = TOL) -> bool:
-        return abs(self.spread(graph) - 1.0) <= tol
+    def is_feasible(self, graph: WeightedGraph) -> bool:
+        return abs(self.spread(graph) - 1.0) <= TOL
 
     def unit_norms(self, tol: float = TOL) -> bool:
         norms = np.sum(self.vectors ** 2, axis=1)
@@ -86,8 +91,7 @@ def basic_sdp_opt(graph: WeightedGraph):
     return opt, sol
 
 
-def lift_vectors(sol: SdpSolution, product: ProductGraph,
-                 max_vertices: int = 1 << 10) -> SdpSolution:
+def lift_vectors(sol: SdpSolution, product: ProductGraph) -> SdpSolution:
     """Direct-sum lifting: product vertex x gets (1/sqrt(k)) (+) v_{x_j}.
 
     Verifies the three lifting identities: Gram entries average the
@@ -95,7 +99,7 @@ def lift_vectors(sol: SdpSolution, product: ProductGraph,
     exactly the factor k.
     """
     base = product.base
-    dense = product.to_weighted_graph(max_vertices=max_vertices)
+    dense = product.to_weighted_graph(max_vertices=LIFT_MAX_VERTICES)
     if not sol.is_feasible(base):
         raise ValueError("input solution violates the spread constraint")
     k = product.k
@@ -118,7 +122,6 @@ def lift_vectors(sol: SdpSolution, product: ProductGraph,
 
 @dataclass(frozen=True, eq=False)
 class TriangleReport:
-    violations: np.ndarray
     count: int
     worst: float
     checked: int
@@ -137,8 +140,25 @@ def _direct_sum(vectors: np.ndarray, coords: np.ndarray) -> np.ndarray:
         [scale * vectors[coords[:, j]] for j in range(coords.shape[1])], axis=1)
 
 
-def check_triangle(sol: SdpSolution, *, tol: float = TOL,
-                   budget: int = 2_000_000, seed: int = 0) -> TriangleReport:
+def _triangle_scan(dist):
+    """Count ordered triples (x, y, z) with d(x,z) - d(x,y) - d(y,z) > TOL;
+    returns (count, worst slack)."""
+    n = dist.shape[0]
+    count = 0
+    worst = 0.0
+    for x0 in range(0, n, TRIANGLE_BLOCK):
+        xs = np.arange(x0, min(x0 + TRIANGLE_BLOCK, n))
+        slack = dist[xs][:, None, :] - dist[xs][:, :, None] - dist[None, :, :]
+        bad = slack > TOL
+        c = int(bad.sum())
+        if c:
+            worst = max(worst, float(slack[bad].max()))
+        count += c
+    return count, worst
+
+
+def check_triangle(sol: SdpSolution, *, budget: int = 2_000_000,
+                   seed: int = 0) -> TriangleReport:
     """Scan ordered vertex triples for squared-distance triangle
     violations; samples with a seed when the full scan exceeds the
     budget."""
@@ -146,19 +166,18 @@ def check_triangle(sol: SdpSolution, *, tol: float = TOL,
     n = sol.n
     total = n ** 3
     if total <= budget:
-        count, worst, trips = _kernels.triangle_scan(dist, tol)
-        return TriangleReport(violations=trips, count=count, worst=worst,
-                              checked=total, partial=False)
+        count, worst = _triangle_scan(dist)
+        return TriangleReport(count=count, worst=worst, checked=total,
+                              partial=False)
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, n, size=budget)
     ys = rng.integers(0, n, size=budget)
     zs = rng.integers(0, n, size=budget)
     slack = dist[xs, zs] - dist[xs, ys] - dist[ys, zs]
-    bad = slack > tol
-    trips = np.stack([xs[bad], ys[bad], zs[bad]], axis=1)[:64]
+    bad = slack > TOL
     worst = float(slack[bad].max()) if bad.any() else 0.0
-    return TriangleReport(violations=trips, count=int(bad.sum()), worst=worst,
-                          checked=budget, partial=True)
+    return TriangleReport(count=int(bad.sum()), worst=worst, checked=budget,
+                          partial=True)
 
 
 # -- local distributions (Sherali-Adams style) -----------------------------------
@@ -196,17 +215,18 @@ class LocalDistributions:
         return _project(self.tables[subset],
                         [subset.index(v) for v in sorted(onto)])
 
-    def check_tables(self, tol: float = TOL):
+    def check_tables(self):
         for subset, table in self.tables.items():
             if len(subset) > self.level:
                 raise ValueError(f"subset {subset} exceeds level {self.level}")
             total = sum(table.values())
-            if abs(total - 1.0) > tol:
+            # written so that a NaN fails it
+            if not abs(total - 1.0) <= TOL:
                 raise ValueError(f"table for {subset} sums to {total}")
-            if any(p < -tol for p in table.values()):
+            if any(p < -TOL for p in table.values()):
                 raise ValueError(f"negative probability in table for {subset}")
 
-    def check_marginal_consistency(self, tol: float = TOL) -> float:
+    def check_marginal_consistency(self) -> float:
         """Max disagreement of marginals on intersections of stored sets."""
         worst = 0.0
         keys = self.subsets()
@@ -220,8 +240,8 @@ class LocalDistributions:
                 worst = max(worst, abs(m1.get(key, 0.0) - m2.get(key, 0.0)))
         return worst
 
-    def check_vector_consistency(self, sol: SdpSolution, vertex_index=None,
-                                 tol: float = TOL) -> float:
+    def check_vector_consistency(self, sol: SdpSolution,
+                                 vertex_index=None) -> float:
         """Max gap between Gram entries and pair-correlation moments."""
         if vertex_index is None:
             vertex_index = lambda v: v
@@ -259,8 +279,7 @@ def vectors_from_distribution(dist: dict) -> SdpSolution:
     return SdpSolution(vectors=np.array([_moment_vector(dist, (x,)) for x in range(n)]))
 
 
-def vectors_from_local_tables(ld: LocalDistributions, n: int,
-                              tol: float = 1e-7) -> SdpSolution:
+def vectors_from_local_tables(ld: LocalDistributions, n: int) -> SdpSolution:
     """Unit-norm vectors realizing the pair moments of level-2 tables.
 
     Factors the moment matrix (ones on the diagonal, pair correlations
@@ -274,11 +293,11 @@ def vectors_from_local_tables(ld: LocalDistributions, n: int,
         x, y = subset
         gram[x, y] = gram[y, x] = _pair_corr(ld.tables[subset])
     evals, evecs = np.linalg.eigh(gram)
-    if evals.min() < -tol:
+    if evals.min() < -FACTOR_TOL:
         raise ValueError("local tables have no consistent vector family "
                          f"(moment matrix eigenvalue {evals.min():.2e})")
     vecs = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    if np.abs(vecs @ vecs.T - gram).max() > tol:
+    if np.abs(vecs @ vecs.T - gram).max() > FACTOR_TOL:
         raise ValueError("moment matrix factorization failed")
     return SdpSolution(vectors=vecs)
 
@@ -343,7 +362,7 @@ class SetVectorSolution:
     def subsets(self):
         return sorted(self.vectors.keys(), key=lambda s: (len(s), s))
 
-    def check_delta_consistency(self, tol: float = TOL) -> float:
+    def check_delta_consistency(self) -> float:
         """Max inner-product spread within a symmetric-difference class;
         equivalent to checking every quadruple with equal differences."""
         groups: dict = {}
@@ -377,8 +396,8 @@ def lasserre_from_distribution(dist: dict, n: int, level: int) -> SetVectorSolut
     return SetVectorSolution(level=level, vectors=vectors)
 
 
-def lift_lasserre(ls: SetVectorSolution, product: ProductGraph, level: int,
-                  max_sets: int = 20000) -> SetVectorSolution:
+def lift_lasserre(ls: SetVectorSolution, product: ProductGraph,
+                  level: int) -> SetVectorSolution:
     """Lift set vectors to the product via coordinate parity sets:
     v_T = (1/sqrt(k)) (+)_j v_{T_j} with T_j the odd-multiplicity base
     vertices among the j-th coordinates."""
@@ -393,7 +412,7 @@ def lift_lasserre(ls: SetVectorSolution, product: ProductGraph, level: int,
     for size in range(level + 1):
         for subset in itertools.combinations(all_vertices, size):
             count += 1
-            if count > max_sets:
+            if count > LIFT_MAX_SETS:
                 raise ValueError("too many product subsets at this level")
             parts = []
             for j in range(k):
@@ -520,4 +539,8 @@ def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
         subset = tuple(sorted(int(v) for v in entry["S"]))
         vectors[subset] = np.asarray(entry["vec"], dtype=np.float64)
     _require_family(vectors, n, 0, int(data["t"]), "Lasserre")
+    if len({vec.shape for vec in vectors.values()}) != 1 or not all(
+            vec.ndim == 1 and np.isfinite(vec).all() for vec in vectors.values()):
+        raise ValueError("Lasserre file must give every set a finite vector "
+                         "of one common length")
     return SetVectorSolution(level=int(data["t"]), vectors=vectors)

@@ -186,8 +186,8 @@ def decompose(f: FunctionTable, basis: SpectralBasis,
         part = inverse_transform(
             FourierCoefficients(basis=basis, product=f.product, coeffs=cj))
         parts.append(part)
-    const = np.zeros_like(coeffs.coeffs)
-    const[(0,) * f.k] = coeffs.coeffs[(0,) * f.k]
-    constant = inverse_transform(
-        FourierCoefficients(basis=basis, product=f.product, coeffs=const))
+    # the constant eigenfunction is exactly 1, so its inverse transform
+    # is the coefficient itself
+    constant = from_values(f.product, np.full(f.product.num_vertices,
+                                              coeffs.coeffs[(0,) * f.k]))
     return Decomposition(constant=constant, parts=tuple(parts))

@@ -174,6 +174,62 @@ def test_library_assertion_exit_two_without_traceback(tmp_path, capsys):
     assert captured.err == "check failed: lifted Gram is not the coordinate mean\n"
 
 
+_K2_SA = [{"T": [0], "probs": {"+": 0.5, "-": 0.5}},
+          {"T": [1], "probs": {"+": 0.5, "-": 0.5}}]
+
+
+@pytest.mark.parametrize("flag, doc, message", [
+    ("--graph", [], "malformed document in {path}: TypeError"),
+    ("--graph", {"n": 2, "edges": [[0, 1, None]]},
+     "malformed document in {path}: TypeError"),
+    ("--function", {"values": [1.0, -1.0, -1.0, 1.0]},
+     "malformed document in {path}: KeyError: 'k'"),
+    ("--sa-file", [], "malformed document in {path}: TypeError"),
+    ("--sa-file", {"t": 1, "dists": [{"T": [0], "probs": {"+": float("nan"), "-": 0.5}},
+                                     _K2_SA[1]]},
+     "table for (0,) sums to nan"),
+    ("--lasserre-file", {"t": 1, "sets": [{"S": [], "vec": [1.0]},
+                                          {"S": [0], "vec": [float("nan")]},
+                                          {"S": [1], "vec": [1.0]}]},
+     "Lasserre file must give every set a finite vector"),
+    ("--lasserre-file", {"t": 1, "sets": [{"S": [], "vec": [[1.0]]},
+                                          {"S": [0], "vec": [[1.0]]},
+                                          {"S": [1], "vec": [[1.0]]}]},
+     "Lasserre file must give every set a finite vector"),
+    ("--sdp-file", {"d": 1, "vectors": [[1.0]]},
+     "SDP file has 1 vectors for the 2 vertices of the base graph"),
+], ids=["graph-list", "null-weight", "function-no-k", "sa-list", "sa-nan",
+        "lasserre-nan", "lasserre-2d", "sdp-one-vector"])
+def test_malformed_input_file_exit_one(tmp_path, capsys, flag, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if flag == "--graph":
+        argv = ["isoperimetry", "--k", "1"]
+    else:
+        argv = ["kkl" if flag == "--function" else "sdp-lift", "--builtin", "k2",
+                "--k", "2"]
+    code = run(argv + [flag, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: " + message.format(path=path))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["isoperimetry", "--builtin", "k2", "--k", "0"], "power k must be >= 1"),
+    (["sdp-lift", "--builtin", "k2", "--k", "2", "--t-level", "0"],
+     "--t-level must be >= 1, not 0"),
+    (["sdp-lift", "--builtin", "k2", "--k", "2", "--t-level", "-3"],
+     "--t-level must be >= 1, not -3"),
+    (["examples", "--t-level", "0"], "--t-level must be >= 1, not 0"),
+], ids=["isoperimetry-k0", "sdp-lift-t0", "sdp-lift-t-3", "examples-t0"])
+def test_out_of_range_argument_exit_one(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # examples would write here
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 GOLDEN = {
     "isoperimetry": ["isoperimetry", "--builtin", "k2", "--k", "2", "--seed", "3"],
     "kkl": ["kkl", "--builtin", "k2", "--k", "3", "--fn", "random", "--seed", "3"],

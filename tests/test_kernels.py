@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import boxprod as bp
-from boxprod import _kernels
+from boxprod import isoperimetry
 from boxprod.isoperimetry import _lex_min
 from conftest import naive_conductance
 
@@ -81,11 +81,11 @@ def test_scan_matches_naive_enumeration(name):
     assert bp.cut_ratio(g, sum(1 << v for v in witness)) == phi
 
 
-@pytest.mark.parametrize("block", [1, _kernels.SCAN_BLOCK_ENTRIES])
+@pytest.mark.parametrize("block", [1, isoperimetry.SCAN_BLOCK_ENTRIES])
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
 def test_scan_matches_scalar_reference_bitwise(name, block, monkeypatch):
     # block = 1 scans one row of low-half subsets at a time
-    monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(isoperimetry, "SCAN_BLOCK_ENTRIES", block)
     g = SMALL_GRAPHS[name]
     assert bp.conductance_bruteforce(g) == _reference_conductance(g)
 
@@ -102,11 +102,11 @@ def test_batched_ratios_match_scalar_bitwise(name):
 def tiny_cap(monkeypatch):
     """One row of low-half subsets per block and a cap of two tied
     subsets; returns the thresholds of the rescans the scan makes."""
-    monkeypatch.setattr(_kernels, "SCAN_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(_kernels, "CANDIDATE_CAP", 2)
+    monkeypatch.setattr(isoperimetry, "SCAN_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(isoperimetry, "CANDIDATE_CAP", 2)
     rescans = []
-    collect = _kernels._collect
-    monkeypatch.setattr(_kernels, "_collect",
+    collect = isoperimetry._collect
+    monkeypatch.setattr(isoperimetry, "_collect",
                         lambda g, t: rescans.append(t) or collect(g, t))
     return rescans
 

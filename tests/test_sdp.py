@@ -188,7 +188,7 @@ def test_vectors_from_local_tables_roundtrip(k3):
     ld = bp.sa_from_distribution(dist, 3, 2)
     sol = bp.vectors_from_local_tables(ld, 3)
     assert sol.unit_norms(tol=1e-7)
-    assert ld.check_vector_consistency(sol, tol=1e-7) <= 1e-7
+    assert ld.check_vector_consistency(sol) <= 1e-7
 
 
 def test_vectors_from_local_tables_rejects_infeasible():
@@ -355,3 +355,18 @@ def test_malformed_sa_file_rejected(data, match):
 
     with pytest.raises(ValueError, match=match):
         sa_from_dict(data, 2)
+
+
+def test_non_finite_families_rejected():
+    from boxprod.sdp import lasserre_from_dict
+
+    ld = bp.LocalDistributions(level=1, tables={(0,): {(1,): float("nan"), (-1,): 0.5}})
+    with pytest.raises(ValueError, match="sums to nan"):
+        ld.check_tables()
+    for bad in (float("nan"), float("inf")):
+        sets = [{"S": [], "vec": [1.0]}, {"S": [0], "vec": [bad]}]
+        with pytest.raises(ValueError, match="finite vector"):
+            lasserre_from_dict({"t": 1, "sets": sets}, 1)
+    sets = [{"S": [], "vec": [1.0]}, {"S": [0], "vec": [1.0, 0.0]}]
+    with pytest.raises(ValueError, match="common length"):
+        lasserre_from_dict({"t": 1, "sets": sets}, 1)
