@@ -32,6 +32,18 @@ class DenseCapError(RuntimeError):
     """Raised when a dense operation would exceed the product-size cap."""
 
 
+def power_at_most(n: int, k: int, limit: int) -> bool:
+    """``n ** k <= limit`` for a graph size ``n >= 2``, stopping once a
+    partial power passes ``limit`` so that a huge ``k`` builds no huge
+    integer."""
+    power = 1
+    for _ in range(k):
+        power *= n
+        if power > limit:
+            return False
+    return power <= limit
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Connected undirected graph with normalized edge/vertex measures.
@@ -259,12 +271,12 @@ class ProductGraph:
 
     @property
     def within_cap(self) -> bool:
-        return self.num_vertices <= self.dense_cap
+        return power_at_most(self.base.n, self.k, self.dense_cap)
 
     def require_dense(self):
         if not self.within_cap:
             raise DenseCapError(
-                f"n^k = {self.num_vertices} exceeds the dense cap "
+                f"n^k = {self.base.n}^{self.k} exceeds the dense cap "
                 f"{self.dense_cap}; use the Monte-Carlo estimators instead"
             )
 
@@ -302,7 +314,7 @@ class ProductGraph:
 
     def pi_rest(self, j: int) -> np.ndarray:
         """Flat product measure over all coordinates but ``j`` (one array for any j)."""
-        if self.base.n ** (self.k - 1) > self.dense_cap:
+        if not power_at_most(self.base.n, self.k - 1, self.dense_cap):
             raise DenseCapError("n^(k-1) exceeds the dense cap")
         return self._pi_power(self.k - 1)
 
@@ -349,9 +361,9 @@ class ProductGraph:
 
     def to_weighted_graph(self, max_vertices: int = 1 << 16) -> WeightedGraph:
         """Materialize the product as an explicit WeightedGraph."""
-        if self.num_vertices > max_vertices:
+        if not power_at_most(self.base.n, self.k, max_vertices):
             raise DenseCapError(
-                f"refusing to materialize {self.num_vertices} vertices "
+                f"refusing to materialize n^k = {self.base.n}^{self.k} vertices "
                 f"(limit {max_vertices})"
             )
         if self.k == 1:

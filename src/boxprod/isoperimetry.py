@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProductGraph, WeightedGraph, cartesian_power, log0
+from .graphs import (ProductGraph, WeightedGraph, cartesian_power, log0,
+                     power_at_most)
 from .spectral import eigendecompose
 
 BRUTE_FORCE_MAX_VERTICES = 25
@@ -394,7 +395,7 @@ def product_scaling_report(base: WeightedGraph, k: int, *,
     lam_product = lam_base / k
 
     prod_scan = prod_est = dense = None
-    if product.num_vertices <= LS_MAX_VERTICES:
+    if power_at_most(base.n, k, LS_MAX_VERTICES):
         # at k = 1 the materialized product is the base graph itself
         dense = product.to_weighted_graph()
         prod_scan, prod_est = ((base_scan, base_est) if dense is base

@@ -26,6 +26,8 @@ LIFT_MAX_VERTICES = 1 << 10
 LIFT_MAX_SETS = 20000
 # rows of x per block of the triangle scan
 TRIANGLE_BLOCK = 64
+# pairs per block of the batched verifiers, which bounds their temporaries
+VERIFY_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,17 +229,44 @@ class LocalDistributions:
                 raise ValueError(f"negative probability in table for {subset}")
 
     def check_marginal_consistency(self) -> float:
-        """Max disagreement of marginals on intersections of stored sets."""
-        worst = 0.0
+        """Max disagreement of marginals on intersections of stored sets.
+
+        Each marginal m(T, C) is projected once; the tables holding C are
+        then compared pairwise, keeping the pairs that meet exactly in C.
+        The projections sum in the order of ``marginal``, and numpy
+        subtracts, takes ``abs`` and the max exactly as Python does, so
+        the gap is the float a loop over all pairs gives.
+        """
         keys = self.subsets()
-        for t1, t2 in itertools.combinations(keys, 2):
-            common = tuple(sorted(set(t1) & set(t2)))
-            if not common:
+        member = _membership(keys).astype(np.float64)
+        by_common: dict = {}
+        for row, subset in enumerate(keys):
+            for size in range(1, len(subset) + 1):
+                for pos in itertools.combinations(range(len(subset)), size):
+                    by_common.setdefault(tuple(subset[i] for i in pos), []).append(
+                        (row, _project(self.tables[subset], pos)))
+        worst = 0.0
+        for common, entries in by_common.items():
+            if len(entries) < 2:
                 continue
-            m1 = self.marginal(t1, common)
-            m2 = self.marginal(t2, common)
-            for key in set(m1) | set(m2):
-                worst = max(worst, abs(m1.get(key, 0.0) - m2.get(key, 0.0)))
+            column: dict = {}
+            for _, marginal in entries:
+                for key in marginal:
+                    column.setdefault(key, len(column))
+            # a key missing from a marginal has probability 0.0
+            probs = np.zeros((len(entries), len(column)))
+            for i, (_, marginal) in enumerate(entries):
+                probs[i, [column[key] for key in marginal]] = list(marginal.values())
+            sub = member[[row for row, _ in entries]]
+            step = max(1, VERIFY_BLOCK_ENTRIES // len(entries))
+            for r0 in range(0, len(entries), step):
+                # |T1 & T2| == |C| means the pair meets exactly in C
+                i, j = np.nonzero(sub[r0:r0 + step] @ sub.T == len(common))
+                i += r0
+                later = j > i
+                if later.any():
+                    worst = max(worst, float(np.abs(
+                        probs[i[later]] - probs[j[later]]).max()))
         return worst
 
     def check_vector_consistency(self, sol: SdpSolution,
@@ -364,18 +393,52 @@ class SetVectorSolution:
 
     def check_delta_consistency(self) -> float:
         """Max inner-product spread within a symmetric-difference class;
-        equivalent to checking every quadruple with equal differences."""
-        groups: dict = {}
+        equivalent to checking every quadruple with equal differences.
+
+        The pairs are taken in blocks of rows against the rows from the
+        block on: the pair (j, i) repeats the class and, bit for bit, the
+        value of (i, j).  ``np.vecdot`` runs the inner loop of ``np.dot``,
+        so every value equals the per-pair ``np.dot`` exactly; a GEMM Gram
+        would not.  Each block is reduced to per-class extremes, and the
+        reductions are merged once they hold as many classes as the merged
+        result.
+        """
         keys = self.subsets()
-        for s1 in keys:
-            for s2 in keys:
-                delta = tuple(sorted(set(s1) ^ set(s2)))
-                val = float(np.dot(self.vectors[s1], self.vectors[s2]))
-                groups.setdefault(delta, []).append(val)
-        worst = 0.0
-        for vals in groups.values():
-            worst = max(worst, max(vals) - min(vals))
-        return worst
+        vecs = np.stack([self.vectors[s] for s in keys])
+        # symmetric differences as XORs of membership bits packed into words
+        words = np.packbits(_membership(keys, multiple=64), axis=1).view(np.uint64)
+        rows = max(1, VERIFY_BLOCK_ENTRIES // len(keys))
+        parts = []
+        for r0 in range(0, len(keys), rows):
+            dots = np.vecdot(vecs[r0:r0 + rows, None, :], vecs[None, r0:, :]).ravel()
+            delta = words[r0:r0 + rows, None, :] ^ words[None, r0:, :]
+            parts.append(_class_extremes(delta.reshape(-1, words.shape[1]), dots, dots))
+            if len(parts) > 1 and sum(len(p[1]) for p in parts[1:]) >= len(parts[0][1]):
+                parts = [_class_extremes(*map(np.concatenate, zip(*parts)))]
+        _, high, low = _class_extremes(*map(np.concatenate, zip(*parts)))
+        return max(0.0, float((high - low).max()))
+
+
+def _membership(keys, multiple: int = 1) -> np.ndarray:
+    """Boolean (sets x elements) membership rows, the element columns
+    padded with zeros to a positive multiple of ``multiple``."""
+    column: dict = {}
+    cols = [column.setdefault(v, len(column)) for s in keys for v in s]
+    width = max(1, -(-len(column) // multiple)) * multiple
+    member = np.zeros((len(keys), width), dtype=bool)
+    member[np.repeat(np.arange(len(keys)), [len(s) for s in keys]), cols] = True
+    return member
+
+
+def _class_extremes(words, high, low):
+    """One row per distinct row of ``words``: the max of ``high`` and the
+    min of ``low`` over the rows equal to it."""
+    order = np.lexsort(words.T)
+    words = words[order]
+    start = np.flatnonzero(np.concatenate(
+        ([True], (words[1:] != words[:-1]).any(axis=1))))
+    return (words[start], np.maximum.reduceat(high[order], start),
+            np.minimum.reduceat(low[order], start))
 
 
 def parity_projection(subset, j: int):
@@ -543,4 +606,11 @@ def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
             vec.ndim == 1 and np.isfinite(vec).all() for vec in vectors.values()):
         raise ValueError("Lasserre file must give every set a finite vector "
                          "of one common length")
+    # finite squared norms keep every inner product finite (Cauchy-Schwarz),
+    # so no delta class can meet inf - inf
+    with np.errstate(over="ignore"):
+        huge = [s for s, vec in vectors.items() if not math.isfinite(vec @ vec)]
+    if huge:
+        raise ValueError(f"Lasserre vector of S = {list(huge[0])} has a squared "
+                         "norm that overflows")
     return SetVectorSolution(level=int(data["t"]), vectors=vectors)

@@ -1,6 +1,7 @@
 """CLI: exit codes, report schema, determinism, file inputs."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -196,10 +197,17 @@ _K2_SA = [{"T": [0], "probs": {"+": 0.5, "-": 0.5}},
                                           {"S": [0], "vec": [[1.0]]},
                                           {"S": [1], "vec": [[1.0]]}]},
      "Lasserre file must give every set a finite vector"),
+    # finite entries whose dots overflow: inf - inf is NaN, which a max drops
+    *[("--lasserre-file", {"t": 1, "sets": [{"S": [], "vec": [1.0, 0.0]},
+                                            {"S": [0], "vec": [0.0, 1.0]},
+                                            {"S": [1], "vec": [big, -big]}]},
+       "Lasserre vector of S = [1] has a squared norm that overflows")
+      for big in (1e155, 1e200)],
     ("--sdp-file", {"d": 1, "vectors": [[1.0]]},
      "SDP file has 1 vectors for the 2 vertices of the base graph"),
 ], ids=["graph-list", "null-weight", "function-no-k", "sa-list", "sa-nan",
-        "lasserre-nan", "lasserre-2d", "sdp-one-vector"])
+        "lasserre-nan", "lasserre-2d", "lasserre-1e155", "lasserre-1e200",
+        "sdp-one-vector"])
 def test_malformed_input_file_exit_one(tmp_path, capsys, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -230,6 +238,18 @@ def test_out_of_range_argument_exit_one(tmp_path, monkeypatch, capsys, argv, mes
     assert list(tmp_path.iterdir()) == []
 
 
+def test_huge_power_meets_the_dense_cap_at_once(capsys):
+    # 3^100000 has 47,713 digits: neither built nor printed
+    started = time.perf_counter()
+    code = run(["kkl", "--builtin", "kq:3", "--k", "100000"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: n^k = 3^100000 exceeds the dense cap 4194304; "
+                            "use the Monte-Carlo estimators instead\n")
+    assert elapsed < 1.0
+
+
 GOLDEN = {
     "isoperimetry": ["isoperimetry", "--builtin", "k2", "--k", "2", "--seed", "3"],
     "kkl": ["kkl", "--builtin", "k2", "--k", "3", "--fn", "random", "--seed", "3"],
@@ -244,6 +264,10 @@ GOLDEN = {
     "sdp-lift-k3-files": ["sdp-lift", "--builtin", "k2", "--k", "3", "--seed", "3",
                           "--sa-file", "k2.sa.json", "--lasserre-file",
                           "k2.lasserre.json"],
+    # set vectors perturbed by about 1e-12: a delta gap that is not zero but
+    # stays under check_abs
+    "sdp-lift-perturbed": ["sdp-lift", "--builtin", "cycle:5", "--k", "2", "--seed",
+                           "3", "--lasserre-file", "cycle5-perturbed.lasserre.json"],
 }
 
 

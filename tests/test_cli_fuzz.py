@@ -130,6 +130,8 @@ def test_any_arguments_keep_the_exit_code_contract(command, args, edge):
 @example(flag="--lasserre-file", data={"t": 1, "sets": [
     {"S": [], "vec": [1.0]}, {"S": [0], "vec": [float("nan")]},
     {"S": [1], "vec": [1.0]}]})
+@example(flag="--lasserre-file", data={"t": 1, "sets": [
+    {"S": [], "vec": [1.0]}, {"S": [0], "vec": [1e155]}, {"S": [1], "vec": [1.0]}]})
 def test_malformed_files_keep_the_exit_code_contract(flag, data):
     # an explicit example gives the whole document; a drawn one mutates
     # the valid document of its kind

@@ -370,3 +370,119 @@ def test_non_finite_families_rejected():
     sets = [{"S": [], "vec": [1.0]}, {"S": [0], "vec": [1.0, 0.0]}]
     with pytest.raises(ValueError, match="common length"):
         lasserre_from_dict({"t": 1, "sets": sets}, 1)
+
+
+# -- batched verifiers against the pairwise loops they replaced ---------------
+
+def _marginal_gap_loop(ld):
+    worst = 0.0
+    for t1, t2 in itertools.combinations(ld.subsets(), 2):
+        common = tuple(sorted(set(t1) & set(t2)))
+        if not common:
+            continue
+        m1 = ld.marginal(t1, common)
+        m2 = ld.marginal(t2, common)
+        for key in set(m1) | set(m2):
+            worst = max(worst, abs(m1.get(key, 0.0) - m2.get(key, 0.0)))
+    return worst
+
+
+def _delta_gap_loop(ls):
+    groups = {}
+    keys = ls.subsets()
+    for s1 in keys:
+        for s2 in keys:
+            delta = tuple(sorted(set(s1) ^ set(s2)))
+            val = float(np.dot(ls.vectors[s1], ls.vectors[s2]))
+            groups.setdefault(delta, []).append(val)
+    worst = 0.0
+    for vals in groups.values():
+        worst = max(worst, max(vals) - min(vals))
+    return worst
+
+
+def _random_tables(rng, n, level):
+    """Independent random tables, so marginals of overlapping sets disagree."""
+    tables = {}
+    for size in range(1, level + 1):
+        for subset in itertools.combinations(range(n), size):
+            assigns = list(itertools.product((-1, 1), repeat=size))
+            # drop one assignment now and then, so keys go missing
+            if size > 1 and rng.random() < 0.3:
+                assigns.pop(int(rng.integers(len(assigns))))
+            probs = rng.dirichlet(np.ones(len(assigns)))
+            tables[subset] = dict(zip(assigns, (float(p) for p in probs)))
+    return bp.LocalDistributions(level=level, tables=tables)
+
+
+def _random_set_vectors(rng, n, level, length):
+    vectors = {subset: rng.standard_normal(length)
+               for size in range(level + 1)
+               for subset in itertools.combinations(range(n), size)}
+    return bp.SetVectorSolution(level=level, vectors=vectors)
+
+
+@pytest.fixture(params=[None, 1], ids=["blocked", "one-row-blocks"])
+def block_entries(request, monkeypatch):
+    from boxprod import sdp
+
+    if request.param is not None:
+        monkeypatch.setattr(sdp, "VERIFY_BLOCK_ENTRIES", request.param)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_marginal_gap_equals_pairwise_loop(block_entries, seed):
+    rng = np.random.default_rng(seed)
+    for n, level in ((3, 2), (4, 3), (5, 2)):
+        ld = _random_tables(rng, n, level)
+        gap = ld.check_marginal_consistency()
+        assert gap > 0.0
+        assert gap == _marginal_gap_loop(ld)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_lifted_marginal_gap_equals_pairwise_loop(block_entries, seed, k2, k3):
+    rng = np.random.default_rng(10 + seed)
+    for base, k, level in ((k2, 3, 3), (k3, 2, 2)):
+        ld = _random_tables(rng, base.n, level)
+        dist = bp.uniform_cut_distribution(base.n, (0,))
+        lifted, _, gap, _ = bp.lift_sherali_adams(
+            ld, bp.vectors_from_distribution(dist), bp.cartesian_power(base, k))
+        assert isinstance(next(iter(lifted.tables))[0], tuple)
+        assert gap > 0.0
+        assert gap == _marginal_gap_loop(lifted)
+
+
+@pytest.mark.parametrize("length", [1, 7, 33])
+def test_delta_gap_equals_pairwise_loop(block_entries, length):
+    rng = np.random.default_rng(length)
+    for n, level in ((3, 1), (4, 2), (5, 3)):
+        ls = _random_set_vectors(rng, n, level, length)
+        gap = ls.check_delta_consistency()
+        assert gap > 0.0
+        assert gap == _delta_gap_loop(ls)
+
+
+@pytest.mark.parametrize("length", [1, 7, 33])
+def test_lifted_delta_gap_equals_pairwise_loop(block_entries, length, k2, k3):
+    rng = np.random.default_rng(100 + length)
+    for base, k, level in ((k2, 3, 2), (k3, 2, 2)):
+        ls = _random_set_vectors(rng, base.n, level, length)
+        lifted = bp.lift_lasserre(ls, bp.cartesian_power(base, k), level)
+        gap = lifted.check_delta_consistency()
+        assert isinstance(lifted.subsets()[-1][0], tuple)
+        assert gap > 0.0
+        assert gap == _delta_gap_loop(lifted)
+
+
+def test_delta_gap_near_consistent_vectors(block_entries):
+    # moment vectors perturbed by 1e-12: gaps at the rounding scale
+    rng = np.random.default_rng(7)
+    dist = bp.uniform_cut_distribution(3, (0, 2))
+    ls = bp.lasserre_from_distribution(dist, 3, 2)
+    for subset, vec in ls.vectors.items():
+        ls.vectors[subset] = vec + 1e-12 * rng.standard_normal(vec.shape)
+    lifted = bp.lift_lasserre(ls, bp.cartesian_power(bp.complete_graph(3), 2), 2)
+    gap = lifted.check_delta_consistency()
+    assert 0.0 < gap < 1e-9
+    assert gap == _delta_gap_loop(lifted)
