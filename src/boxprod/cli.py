@@ -263,8 +263,9 @@ def cmd_sdp_lift(args) -> dict:
         tri.count == 0 or tri_base.count > 0,
         {"base": tri_base.count, "lifted": tri.count, "partial": tri.partial}))
 
-    phi, witness = conductance_bruteforce(base)
-    cut_dist = uniform_cut_distribution(base.n, witness)
+    if not (args.sa_file and args.lasserre_file):
+        # a generated family is the uniform cut on the conductance witness
+        cut_dist = uniform_cut_distribution(base.n, conductance_bruteforce(base)[1])
     if args.sa_file:
         ld = read_json(args.sa_file, sa_from_dict, base.n)
         # pair the tables with vectors factored from their own moments so

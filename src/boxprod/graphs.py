@@ -124,8 +124,11 @@ def entropy_sq(pi: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum(pi * f2 * log0(f2))) - n2 * np.log(n2)
 
 
-def _connected_components(n, edge_u, edge_v):
-    parent = list(range(n))
+def _connected_components(edge_u, edge_v):
+    """Components of the vertices some edge touches, each sorted, in
+    sorted order; the work and memory grow with the edges, not with n."""
+    touched, ends = np.unique(np.concatenate((edge_u, edge_v)), return_inverse=True)
+    parent = list(range(len(touched)))
 
     def find(a):
         while parent[a] != a:
@@ -133,13 +136,13 @@ def _connected_components(n, edge_u, edge_v):
             a = parent[a]
         return a
 
-    for u, v in zip(edge_u, edge_v):
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[ru] = rv
+    for a, b in ends.reshape(2, -1).T.tolist():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     comps = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
+    for a, v in enumerate(touched.tolist()):
+        comps.setdefault(find(a), []).append(v)
     return sorted(comps.values())
 
 
@@ -156,9 +159,12 @@ def _from_arrays(n, edge_u, edge_v, edge_w, *, normalize, check_connected=True):
             raise ValueError("total edge weight overflows")
         edge_w = edge_w / total
     if check_connected:
-        comps = _connected_components(n, edge_u, edge_v)
-        if len(comps) != 1:
-            raise ValueError(f"graph is disconnected; components: {comps}")
+        comps = _connected_components(edge_u, edge_v)
+        isolated = n - sum(map(len, comps))
+        if len(comps) != 1 or isolated:
+            rest = (f" plus {isolated} isolated vert{'ex' if isolated == 1 else 'ices'}"
+                    if isolated else "")
+            raise ValueError(f"graph is disconnected; components: {comps}{rest}")
     pi = np.zeros(n)
     np.add.at(pi, edge_u, edge_w / 2.0)
     np.add.at(pi, edge_v, edge_w / 2.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProductGraph, WeightedGraph
+from .graphs import ProductGraph, WeightedGraph, power_at_most
 from .spectral import eigendecompose
 
 TOL = 1e-9
@@ -135,6 +135,34 @@ def _product_vertices(product: ProductGraph) -> list:
     return list(itertools.product(range(product.base.n), repeat=product.k))
 
 
+def _subsets(vertices, low: int, level: int) -> list:
+    """Every set of ``low..level`` of ``vertices`` as a tuple, by size and
+    then lexicographically in the order of ``vertices`` (a sequence).
+
+    Sizes above ``len(vertices)`` hold no set and are skipped, since
+    ``combinations`` allocates ``size`` slots even then."""
+    return [subset for size in range(low, min(level, len(vertices)) + 1)
+            for subset in itertools.combinations(vertices, size)]
+
+
+def _family_size(n: int, low: int, level: int) -> int:
+    """Number of sets ``_subsets`` lists for ``n`` vertices."""
+    return sum(math.comb(n, m) for m in range(low, min(level, n) + 1))
+
+
+def _product_subsets(product: ProductGraph, low: int, level: int) -> list:
+    """``_subsets`` of the product vertices, refused before any vertex
+    tuple is built when there are more than ``LIFT_MAX_SETS`` of them.
+
+    From level 1 on the family holds every singleton, so a product of
+    more vertices than the cap is refused without computing n^k."""
+    if level >= 1 and (
+            not power_at_most(product.base.n, product.k, LIFT_MAX_SETS)
+            or _family_size(product.num_vertices, low, level) > LIFT_MAX_SETS):
+        raise ValueError("too many product subsets at this level")
+    return _subsets(_product_vertices(product), low, level)
+
+
 def _direct_sum(vectors: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Row i is (1/sqrt(k)) (+)_j vectors[coords[i, j]]."""
     scale = 1.0 / math.sqrt(coords.shape[1])
@@ -193,9 +221,20 @@ def _project(table: dict, pos) -> dict:
     return out
 
 
-def _pair_corr(table: dict) -> float:
-    """Correlation E[z_x z_y] of a table over a pair {x, y}."""
-    return sum(p * z[0] * z[1] for z, p in table.items())
+def _pair_moments(ld: LocalDistributions):
+    """Rows x and y and the correlation E[z_x z_y] of every pair table.
+
+    A vertex's row is its position among the sorted singleton vertices of
+    the family: 0..n-1 for a base family, flat order for product tuples.
+    """
+    keys = ld.subsets()
+    row = {s[0]: i for i, s in enumerate(s for s in keys if len(s) == 1)}
+    pairs = [s for s in keys if len(s) == 2]
+    x = np.array([row[s[0]] for s in pairs], dtype=np.int64)
+    y = np.array([row[s[1]] for s in pairs], dtype=np.int64)
+    corr = np.array([sum(p * z[0] * z[1] for z, p in ld.tables[s].items())
+                     for s in pairs], dtype=np.float64)
+    return x, y, corr
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,10 +280,9 @@ class LocalDistributions:
         member = _membership(keys).astype(np.float64)
         by_common: dict = {}
         for row, subset in enumerate(keys):
-            for size in range(1, len(subset) + 1):
-                for pos in itertools.combinations(range(len(subset)), size):
-                    by_common.setdefault(tuple(subset[i] for i in pos), []).append(
-                        (row, _project(self.tables[subset], pos)))
+            for pos in _subsets(range(len(subset)), 1, len(subset)):
+                by_common.setdefault(tuple(subset[i] for i in pos), []).append(
+                    (row, _project(self.tables[subset], pos)))
         worst = 0.0
         for common, entries in by_common.items():
             if len(entries) < 2:
@@ -269,27 +307,17 @@ class LocalDistributions:
                         probs[i[later]] - probs[j[later]]).max()))
         return worst
 
-    def check_vector_consistency(self, sol: SdpSolution,
-                                 vertex_index=None) -> float:
-        """Max gap between Gram entries and pair-correlation moments."""
-        if vertex_index is None:
-            vertex_index = lambda v: v
-        gram = sol.gram()
-        worst = 0.0
-        for subset in self.subsets():
-            if len(subset) != 2:
-                continue
-            x, y = subset
-            corr = _pair_corr(self.tables[subset])
-            worst = max(worst, abs(gram[vertex_index(x), vertex_index(y)] - corr))
-        return worst
+    def check_vector_consistency(self, sol: SdpSolution) -> float:
+        """Max gap between Gram entries and pair-correlation moments, the
+        vertices taken in the rows of ``_pair_moments``."""
+        x, y, corr = _pair_moments(self)
+        return float(np.abs(sol.gram()[x, y] - corr).max(initial=0.0))
 
 
 def sa_from_distribution(dist: dict, n: int, level: int) -> LocalDistributions:
     """Exact marginals of a global distribution over {-1,+1}^n."""
     tables = {subset: _project(dist, subset)
-              for size in range(1, level + 1)
-              for subset in itertools.combinations(range(n), size)}
+              for subset in _subsets(range(n), 1, level)}
     return LocalDistributions(level=level, tables=tables)
 
 
@@ -316,11 +344,8 @@ def vectors_from_local_tables(ld: LocalDistributions, n: int) -> SdpSolution:
     i.e. the moment matrix is not positive semidefinite.
     """
     gram = np.eye(n)
-    for subset in ld.subsets():
-        if len(subset) != 2:
-            continue
-        x, y = subset
-        gram[x, y] = gram[y, x] = _pair_corr(ld.tables[subset])
+    x, y, corr = _pair_moments(ld)
+    gram[x, y] = gram[y, x] = corr
     evals, evecs = np.linalg.eigh(gram)
     if evals.min() < -FACTOR_TOL:
         raise ValueError("local tables have no consistent vector family "
@@ -351,29 +376,24 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
     if sol.n != base_n:
         raise ValueError("solution size does not match the base graph")
     k = product.k
-    all_vertices = _product_vertices(product)
-
     tables = {}
-    for size in range(1, ld.level + 1):
-        for subset in itertools.combinations(all_vertices, size):
-            table: dict = {}
-            for j in range(k):
-                collapsed = tuple(sorted({x[j] for x in subset}))
-                # pos hits every slot of collapsed, so the projection sums
-                # nothing and p / k is added once per coordinate
-                pos = [collapsed.index(x[j]) for x in subset]
-                for key, p in _project(ld.tables[collapsed], pos).items():
-                    table[key] = table.get(key, 0.0) + p / k
-            tables[subset] = table
+    for subset in _product_subsets(product, 1, ld.level):
+        table: dict = {}
+        for j in range(k):
+            collapsed = tuple(sorted({x[j] for x in subset}))
+            # pos hits every slot of collapsed, so the projection sums
+            # nothing and p / k is added once per coordinate
+            pos = [collapsed.index(x[j]) for x in subset]
+            for key, p in _project(ld.tables[collapsed], pos).items():
+                table[key] = table.get(key, 0.0) + p / k
+        tables[subset] = table
     lifted_ld = LocalDistributions(level=ld.level, tables=tables)
     lifted_sol = SdpSolution(vectors=_direct_sum(
-        sol.vectors, np.array(all_vertices, dtype=np.int64)))
+        sol.vectors, np.array(_product_vertices(product), dtype=np.int64)))
 
     lifted_ld.check_tables()
-    index = {tup: i for i, tup in enumerate(all_vertices)}
     marginal_gap = lifted_ld.check_marginal_consistency()
-    vector_gap = lifted_ld.check_vector_consistency(
-        lifted_sol, vertex_index=lambda tup: index[tup])
+    vector_gap = lifted_ld.check_vector_consistency(lifted_sol)
     return lifted_ld, lifted_sol, marginal_gap, vector_gap
 
 
@@ -454,8 +474,7 @@ def lasserre_from_distribution(dist: dict, n: int, level: int) -> SetVectorSolut
     """Moment vectors of a global distribution: index-set character values
     weighted by sqrt of the probability."""
     vectors = {subset: _moment_vector(dist, subset)
-               for size in range(level + 1)
-               for subset in itertools.combinations(range(n), size)}
+               for subset in _subsets(range(n), 0, level)}
     return SetVectorSolution(level=level, vectors=vectors)
 
 
@@ -468,20 +487,14 @@ def lift_lasserre(ls: SetVectorSolution, product: ProductGraph,
         raise ValueError(
             f"requested level {level} exceeds base solution level {ls.level}")
     k = product.k
-    all_vertices = _product_vertices(product)
     scale = 1.0 / math.sqrt(k)
     vectors = {}
-    count = 0
-    for size in range(level + 1):
-        for subset in itertools.combinations(all_vertices, size):
-            count += 1
-            if count > LIFT_MAX_SETS:
-                raise ValueError("too many product subsets at this level")
-            parts = []
-            for j in range(k):
-                tj = tuple(sorted(parity_projection(subset, j)))
-                parts.append(scale * ls.vectors[tj])
-            vectors[subset] = np.concatenate(parts)
+    for subset in _product_subsets(product, 0, level):
+        parts = []
+        for j in range(k):
+            tj = tuple(sorted(parity_projection(subset, j)))
+            parts.append(scale * ls.vectors[tj])
+        vectors[subset] = np.concatenate(parts)
     return SetVectorSolution(level=level, vectors=vectors)
 
 
@@ -566,8 +579,7 @@ def _require_family(subsets, n: int, low: int, level: int, kind: str):
     if level < low:
         raise ValueError(f"{kind} file must hold every subset of {low}..t "
                          f"vertices for a level t >= {low}, not {level}")
-    count = sum(math.comb(n, m) for m in range(low, min(level, n) + 1))
-    if len(subsets) != count or not all(
+    if len(subsets) != _family_size(n, low, level) or not all(
             len(set(s)) == len(s) and low <= len(s) <= level
             and all(0 <= v < n for v in s) for s in subsets):
         raise ValueError(f"{kind} file must hold every subset of {low}..{level} "

@@ -185,10 +185,15 @@ _K2_SA = [{"T": [0], "probs": {"+": 0.5, "-": 0.5}},
      "malformed document in {path}: TypeError"),
     ("--function", {"values": [1.0, -1.0, -1.0, 1.0]},
      "malformed document in {path}: KeyError: 'k'"),
+    ("--function", {"k": 3, "values": [1.0, -1.0, -1.0, 1.0]},
+     "function has k=3, product has k=2"),
     ("--sa-file", [], "malformed document in {path}: TypeError"),
     ("--sa-file", {"t": 1, "dists": [{"T": [0], "probs": {"+": float("nan"), "-": 0.5}},
                                      _K2_SA[1]]},
      "table for (0,) sums to nan"),
+    ("--sa-file", {"t": 1, "dists": [{"T": [0], "probs": {"+": 1.5, "-": -0.5}},
+                                     _K2_SA[1]]},
+     "negative probability in table for (0,)"),
     ("--lasserre-file", {"t": 1, "sets": [{"S": [], "vec": [1.0]},
                                           {"S": [0], "vec": [float("nan")]},
                                           {"S": [1], "vec": [1.0]}]},
@@ -205,8 +210,8 @@ _K2_SA = [{"T": [0], "probs": {"+": 0.5, "-": 0.5}},
       for big in (1e155, 1e200)],
     ("--sdp-file", {"d": 1, "vectors": [[1.0]]},
      "SDP file has 1 vectors for the 2 vertices of the base graph"),
-], ids=["graph-list", "null-weight", "function-no-k", "sa-list", "sa-nan",
-        "lasserre-nan", "lasserre-2d", "lasserre-1e155", "lasserre-1e200",
+], ids=["graph-list", "null-weight", "function-no-k", "function-wrong-k", "sa-list",
+        "sa-nan", "sa-negative", "lasserre-nan", "lasserre-2d", "lasserre-1e155", "lasserre-1e200",
         "sdp-one-vector"])
 def test_malformed_input_file_exit_one(tmp_path, capsys, flag, doc, message):
     path = tmp_path / "input.json"
@@ -229,7 +234,10 @@ def test_malformed_input_file_exit_one(tmp_path, capsys, flag, doc, message):
     (["sdp-lift", "--builtin", "k2", "--k", "2", "--t-level", "-3"],
      "--t-level must be >= 1, not -3"),
     (["examples", "--t-level", "0"], "--t-level must be >= 1, not 0"),
-], ids=["isoperimetry-k0", "sdp-lift-t0", "sdp-lift-t-3", "examples-t0"])
+    (["isoperimetry", "--graph", "g.json", "--builtin", "k2"],
+     "give either --graph or --builtin, not both"),
+], ids=["isoperimetry-k0", "sdp-lift-t0", "sdp-lift-t-3", "examples-t0",
+        "graph-and-builtin"])
 def test_out_of_range_argument_exit_one(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # examples would write here
     code = run(argv)
@@ -247,6 +255,32 @@ def test_huge_power_meets_the_dense_cap_at_once(capsys):
     assert (code, captured.out) == (1, "")
     assert captured.err == ("error: n^k = 3^100000 exceeds the dense cap 4194304; "
                             "use the Monte-Carlo estimators instead\n")
+    assert elapsed < 1.0
+
+
+def test_lift_over_the_set_cap_refused_at_once(capsys):
+    # 43,744 product subsets of 1..3 of the 64 vertices of K2^6: the SA
+    # lift is refused before it builds a table
+    started = time.perf_counter()
+    code = run(["sdp-lift", "--builtin", "k2", "--k", "6", "--t-level", "3"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: too many product subsets at this level\n"
+    assert elapsed < 1.0
+
+
+def test_huge_graph_file_refused_at_once(tmp_path, capsys):
+    # the components are found over the touched vertices only
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 10 ** 6, "edges": [[0, 1, 1.0]]}))
+    started = time.perf_counter()
+    code = run(["isoperimetry", "--graph", str(path), "--k", "1"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: graph is disconnected; components: [[0, 1]] "
+                            "plus 999998 isolated vertices\n")
     assert elapsed < 1.0
 
 
@@ -268,6 +302,11 @@ GOLDEN = {
     # stays under check_abs
     "sdp-lift-perturbed": ["sdp-lift", "--builtin", "cycle:5", "--k", "2", "--seed",
                            "3", "--lasserre-file", "cycle5-perturbed.lasserre.json"],
+    # level 3: a lifted marginal sums up to three terms, so its value depends
+    # on the order of the sums (sa_marginal_gap 1.1e-16)
+    "sdp-lift-level3-files": ["sdp-lift", "--builtin", "kq:3", "--k", "2", "--t-level",
+                              "3", "--seed", "3", "--sa-file", "kq3-level3.sa.json",
+                              "--lasserre-file", "kq3-level3.lasserre.json"],
 }
 
 

@@ -60,6 +60,17 @@ def test_rejects_disconnected_with_components():
         bp.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1, 1.0)], "[[0, 1]] plus 1 isolated vertex"),
+    (6, [(4, 5, 1.0), (0, 4, 1.0), (1, 2, 1.0)], "[[0, 4, 5], [1, 2]] plus 1 isolated vertex"),
+    (7, [(5, 3, 1.0)], "[[3, 5]] plus 5 isolated vertices"),
+])
+def test_isolated_vertices_are_counted(n, edges, message):
+    with pytest.raises(ValueError) as info:
+        bp.build_graph(n, edges)
+    assert str(info.value) == f"graph is disconnected; components: {message}"
+
+
 def test_validate_measures_passes_on_built(p3):
     report = bp.validate_measures(p3)
     assert report.passed

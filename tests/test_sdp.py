@@ -486,3 +486,91 @@ def test_delta_gap_near_consistent_vectors(block_entries):
     gap = lifted.check_delta_consistency()
     assert 0.0 < gap < 1e-9
     assert gap == _delta_gap_loop(lifted)
+
+
+def _vector_gap_loop(ld, sol, vertex_index):
+    gram = sol.gram()
+    worst = 0.0
+    for subset in ld.subsets():
+        if len(subset) != 2:
+            continue
+        x, y = subset
+        corr = sum(p * z[0] * z[1] for z, p in ld.tables[subset].items())
+        worst = max(worst, abs(gram[vertex_index(x), vertex_index(y)] - corr))
+    return worst
+
+
+def _unit_vectors(rng, n, dim):
+    vecs = rng.standard_normal((n, dim))
+    return bp.SdpSolution(vectors=vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vector_gap_equals_pairwise_loop(seed):
+    rng = np.random.default_rng(20 + seed)
+    for n, level in ((3, 2), (4, 3), (5, 2)):
+        ld = _random_tables(rng, n, level)
+        sol = _unit_vectors(rng, n, 3)
+        gap = ld.check_vector_consistency(sol)
+        assert gap > 0.0
+        assert gap == _vector_gap_loop(ld, sol, lambda v: v)
+        # vectors factored from the moments of a global distribution: a gap
+        # at the rounding scale
+        outcomes = list(itertools.product((-1, 1), repeat=n))
+        dist = dict(zip(outcomes, rng.dirichlet(np.ones(len(outcomes))).tolist()))
+        ld = bp.sa_from_distribution(dist, n, level)
+        sol = bp.vectors_from_local_tables(ld, n)
+        assert ld.check_vector_consistency(sol) == _vector_gap_loop(ld, sol, lambda v: v)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_lifted_vector_gap_equals_pairwise_loop(seed, k2, k3):
+    # rows of product tuples are their flat indices
+    rng = np.random.default_rng(30 + seed)
+    for base, k, level in ((k2, 3, 3), (k3, 2, 2)):
+        prod = bp.cartesian_power(base, k)
+        ld = _random_tables(rng, base.n, level)
+        lifted, lifted_sol, _, gap = bp.lift_sherali_adams(
+            ld, _unit_vectors(rng, base.n, 3), prod)
+        assert gap > 0.0
+        assert gap == _vector_gap_loop(lifted, lifted_sol, prod.index_of)
+
+
+# -- the set cap of both lifts --------------------------------------------------
+
+def test_both_lifts_refuse_over_the_set_cap(k2):
+    # K2^6 at level 3 has 43,744 product subsets of 1..3 vertices; K2^15 has
+    # more vertices than the cap, and K2^(10^6) is refused without its n^k
+    dist = bp.uniform_cut_distribution(2, (0,))
+    sol = bp.vectors_from_distribution(dist)
+    for k, level in ((6, 3), (15, 1), (10 ** 6, 1)):
+        prod = bp.cartesian_power(k2, k)
+        with pytest.raises(ValueError, match="too many product subsets"):
+            bp.lift_sherali_adams(bp.sa_from_distribution(dist, 2, level), sol, prod)
+        with pytest.raises(ValueError, match="too many product subsets"):
+            bp.lift_lasserre(bp.lasserre_from_distribution(dist, 2, level), prod, level)
+    # level 0 holds the empty set alone, whatever the product
+    ls = bp.lasserre_from_distribution(dist, 2, 0)
+    assert list(bp.lift_lasserre(ls, bp.cartesian_power(k2, 15), 0).vectors) == [()]
+
+
+@pytest.mark.parametrize("lift", ["sa", "lasserre"])
+def test_set_cap_counts_the_whole_family(monkeypatch, k2, lift):
+    from boxprod import sdp
+
+    dist = bp.uniform_cut_distribution(2, (0,))
+    prod = bp.cartesian_power(k2, 2)
+
+    def family():
+        if lift == "sa":
+            ld = bp.sa_from_distribution(dist, 2, 2)
+            return bp.lift_sherali_adams(ld, bp.vectors_from_distribution(dist), prod)[0].tables
+        return bp.lift_lasserre(bp.lasserre_from_distribution(dist, 2, 2), prod, 2).vectors
+
+    # 4 singletons and 6 pairs, and the empty set for Lasserre
+    size = 10 if lift == "sa" else 11
+    monkeypatch.setattr(sdp, "LIFT_MAX_SETS", size)
+    assert len(family()) == size
+    monkeypatch.setattr(sdp, "LIFT_MAX_SETS", size - 1)
+    with pytest.raises(ValueError, match="too many product subsets"):
+        family()
