@@ -26,8 +26,8 @@ from .graphs import (DENSE_CAP, cartesian_power, complete_graph, graph_to_dict,
 from .influence import corollary_sweep, friedgut_extract, is_junta_on, kkl_report
 from .isoperimetry import (conductance_bruteforce, log_sobolev_estimate,
                            product_scaling_report)
-from .sdp import (basic_sdp_opt, check_triangle, lasserre_from_dict,
-                  lasserre_from_distribution, lasserre_to_dict,
+from .sdp import (LIFT_MAX_VERTICES, basic_sdp_opt, check_triangle,
+                  lasserre_from_dict, lasserre_from_distribution, lasserre_to_dict,
                   lift_lasserre, lift_sherali_adams, lift_vectors,
                   sa_from_dict, sa_from_distribution, sa_to_dict,
                   sdp_from_dict, sdp_to_dict, uniform_cut_distribution,
@@ -233,7 +233,6 @@ def cmd_sdp_lift(args) -> dict:
     t_level = _t_level(args)
     base = _resolve_graph(args)
     product = cartesian_power(base, args.k, dense_cap=args.max_dense)
-    dense = product.to_weighted_graph()
     checks = []
     results = {}
 
@@ -244,8 +243,9 @@ def cmd_sdp_lift(args) -> dict:
                              f"{base.n} vertices of the base graph")
     else:
         _, sol = basic_sdp_opt(base)
+    dense = product.to_weighted_graph(max_vertices=LIFT_MAX_VERTICES)
     base_obj = sol.objective(base)
-    lifted = lift_vectors(sol, product)
+    lifted = lift_vectors(sol, product, dense)
     lifted_obj = lifted.objective(dense)
     results["objective_base"] = base_obj
     results["objective_lifted"] = lifted_obj

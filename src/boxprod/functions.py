@@ -92,7 +92,7 @@ class FunctionTable:
 
     def entropy_sq(self) -> float:
         """Entropy of f^2 under the product measure (0*log0 = 0)."""
-        return entropy_sq(self._pi(), self.values)
+        return float(entropy_sq(self._pi(), self.values))
 
 
 # -- constructors ------------------------------------------------------------

@@ -97,31 +97,27 @@ class WeightedGraph:
         m = float(np.sum(self.pi * f))
         return float(np.sum(self.pi * f * f)) - m * m
 
-    def dirichlet(self, f: np.ndarray) -> float:
-        """Energy form; equals half the mu-expectation of (f(u)-f(v))^2."""
-        d = f[self.edge_u] - f[self.edge_v]
-        return 0.5 * float(np.sum(self.edge_w * d * d))
+    def dirichlet(self, f: np.ndarray):
+        """Energy form of f, or an array of it for each row of f: half the
+        mu-expectation of (f(u)-f(v))^2, each row summed as if alone."""
+        d = np.take(f, self.edge_u, axis=-1) - np.take(f, self.edge_v, axis=-1)
+        return 0.5 * np.sum(self.edge_w * d * d, axis=-1)
 
-    def entropy_sq(self, f: np.ndarray) -> float:
+    def entropy_sq(self, f: np.ndarray):
         """Entropy of f^2 under pi (see ``entropy_sq``)."""
         return entropy_sq(self.pi, f)
 
 
-def log0(x: np.ndarray) -> np.ndarray:
+def log0(x):
     """Elementwise log with log(0) = 0, for the 0*log(0) = 0 convention."""
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = np.log(x[pos])
-    return out
+    return np.log(x, out=np.zeros_like(x), where=x > 0.0)
 
 
-def entropy_sq(pi: np.ndarray, f: np.ndarray) -> float:
-    """Entropy of f^2 under the measure pi, with 0*log(0) = 0."""
+def entropy_sq(pi: np.ndarray, f: np.ndarray):
+    """Entropy of f^2, or of each row's square, under pi; 0*log(0) = 0."""
     f2 = f * f
-    n2 = float(np.sum(pi * f2))
-    if n2 <= 0.0:
-        return 0.0
-    return float(np.sum(pi * f2 * log0(f2))) - n2 * np.log(n2)
+    n2 = np.sum(pi * f2, axis=-1)
+    return np.sum(pi * f2 * log0(f2), axis=-1) - n2 * log0(n2)
 
 
 def _connected_components(edge_u, edge_v):

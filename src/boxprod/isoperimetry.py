@@ -208,7 +208,7 @@ def conductance_functional(graph: WeightedGraph, f: np.ndarray) -> float:
     var = graph.variance(f)
     if var <= 0.0:
         raise ValueError("constant function has zero variance")
-    return graph.dirichlet(f) / (2.0 * var)
+    return float(graph.dirichlet(f) / (2.0 * var))
 
 
 # -- log-Sobolev estimation ----------------------------------------------------
@@ -226,43 +226,54 @@ class LogSobolevEstimate:
         self.witness.setflags(write=False)
 
 
-def _ls_ratio(graph: WeightedGraph, f: np.ndarray):
-    energy = graph.dirichlet(f)
-    ent = graph.entropy_sq(f)
-    return energy, ent
+def _pi_dots(pi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``pi @ row`` of each row, bit for bit as for a single vector."""
+    return np.matmul(rows[:, None, :], pi[:, None])[:, 0, 0]
 
 
-def _ls_descend(graph, f0):
+def _lockstep_descent(graph, starts):
+    """Projected descent of 2*energy/entropy from each row of ``starts``,
+    in lockstep and bit for bit as from each start alone (see README).
+    Returns each row's final ratio (inf where its start's entropy is below
+    ENTROPY_FLOOR) and function."""
     pi = graph.pi
-    f = f0 / math.sqrt(float(pi @ (f0 * f0)))
-    energy, ent = _ls_ratio(graph, f)
-    if ent < ENTROPY_FLOOR:
-        return math.inf, f
-    ratio = 2.0 * energy / ent
-    lap = graph.laplacian
-    step = 0.1
-    for _ in range(LS_MAX_ITERS):
-        f2 = f * f
-        grad_energy = 2.0 * (lap @ f)
-        grad_ent = 2.0 * pi * f * (log0(f2) - math.log(float(pi @ f2)))
-        grad = (2.0 * grad_energy * ent - 2.0 * energy * grad_ent) / (ent * ent)
-        accepted = False
-        for _ in range(60):
-            cand = f - step * grad
-            cand = cand / math.sqrt(float(pi @ (cand * cand)))
-            c_energy, c_ent = _ls_ratio(graph, cand)
-            if c_ent >= ENTROPY_FLOOR and 2.0 * c_energy / c_ent < ratio - 1e-18:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        new_ratio = 2.0 * c_energy / c_ent
-        rel = (ratio - new_ratio) / max(abs(ratio), 1e-30)
-        f, ratio, energy, ent = cand, new_ratio, c_energy, c_ent
-        step *= 1.25
-        if rel < LS_TOL:
-            break
+    f = starts / np.sqrt(_pi_dots(pi, starts * starts))[:, None]
+    energy, ent = graph.dirichlet(f), graph.entropy_sq(f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(ent >= ENTROPY_FLOOR, 2.0 * energy / ent, np.inf)
+    live = ent >= ENTROPY_FLOOR
+    step = np.full(len(f), 0.1)
+    iters, tries = np.zeros((2, len(f)), dtype=np.int64)
+    grad = np.empty_like(f)
+    moved = np.flatnonzero(live)
+    while live.any():
+        if len(moved):
+            g, f2 = f[moved], f[moved] * f[moved]
+            # libm's log: np.log may round differently
+            log_n2 = np.array([math.log(x) for x in _pi_dots(pi, f2).tolist()])
+            grad_energy = 2.0 * np.matmul(graph.laplacian, g[:, :, None])[:, :, 0]
+            grad_ent = 2.0 * pi * g * (log0(f2) - log_n2[:, None])
+            e, s = energy[moved, None], ent[moved, None]
+            grad[moved] = (2.0 * grad_energy * s - 2.0 * e * grad_ent) / (s * s)
+        rows = np.flatnonzero(live)
+        cand = f[rows] - step[rows, None] * grad[rows]
+        cand /= np.sqrt(_pi_dots(pi, cand * cand))[:, None]
+        c_energy, c_ent = graph.dirichlet(cand), graph.entropy_sq(cand)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_ratio = 2.0 * c_energy / c_ent
+        ok = (c_ent >= ENTROPY_FLOOR) & (c_ratio < ratio[rows] - 1e-18)
+        failed, moved = rows[~ok], rows[ok]
+        step[failed] *= 0.5
+        tries[failed] += 1
+        live[failed[tries[failed] == 60]] = False
+        rel = (ratio[moved] - c_ratio[ok]) / np.maximum(np.abs(ratio[moved]), 1e-30)
+        f[moved], ratio[moved] = cand[ok], c_ratio[ok]
+        energy[moved], ent[moved] = c_energy[ok], c_ent[ok]
+        step[moved] *= 1.25
+        iters[moved] += 1
+        tries[moved] = 0
+        live[moved[(rel < LS_TOL) | (iters[moved] == LS_MAX_ITERS)]] = False
+        moved = moved[live[moved]]
     return ratio, f
 
 
@@ -281,24 +292,21 @@ def log_sobolev_estimate(graph: WeightedGraph, *,
     half = LS_RESTARTS // 2
     starts += [np.ones(n) + 0.2 * rng.standard_normal(n) for _ in range(half)]
     starts += [rng.standard_normal(n) for _ in range(LS_RESTARTS - half)]
-    best = math.inf
-    witness = None
-    for f0 in starts:
-        ratio, f = _ls_descend(graph, f0)
-        if ratio < best:
-            best, witness = ratio, f
-    if witness is None or not math.isfinite(best):
+    ratio, f = _lockstep_descent(graph, np.array(starts))
+    best = int(np.argmin(ratio))  # the first start of the smallest ratio
+    if not math.isfinite(ratio[best]):
         raise RuntimeError("all descent restarts were entropy-degenerate")
-    return LogSobolevEstimate(alpha_hat=best, witness=witness,
+    return LogSobolevEstimate(alpha_hat=float(ratio[best]), witness=f[best],
                               restarts=len(starts))
 
 
 def witness_ratio(graph: WeightedGraph, f: np.ndarray) -> float:
     """Recompute the log-Sobolev ratio certified by a witness function."""
-    energy, ent = _ls_ratio(graph, np.asarray(f, dtype=np.float64))
+    f = np.asarray(f, dtype=np.float64)
+    energy, ent = graph.dirichlet(f), graph.entropy_sq(f)
     if ent <= 0.0:
         raise ValueError("witness has zero entropy")
-    return 2.0 * energy / ent
+    return float(2.0 * energy / ent)
 
 
 # -- inequality chain and scaling ------------------------------------------------

@@ -93,15 +93,16 @@ def basic_sdp_opt(graph: WeightedGraph):
     return opt, sol
 
 
-def lift_vectors(sol: SdpSolution, product: ProductGraph) -> SdpSolution:
+def lift_vectors(sol: SdpSolution, product: ProductGraph,
+                 dense: WeightedGraph) -> SdpSolution:
     """Direct-sum lifting: product vertex x gets (1/sqrt(k)) (+) v_{x_j}.
 
     Verifies the three lifting identities: Gram entries average the
     coordinate Gram entries, spread stays 1, and the objective drops by
-    exactly the factor k.
+    exactly the factor k.  ``dense`` is ``product`` materialized, which
+    ``analyze sdp-lift`` caps at LIFT_MAX_VERTICES.
     """
     base = product.base
-    dense = product.to_weighted_graph(max_vertices=LIFT_MAX_VERTICES)
     if not sol.is_feasible(base):
         raise ValueError("input solution violates the spread constraint")
     k = product.k

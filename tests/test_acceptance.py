@@ -189,7 +189,7 @@ def test_criterion_08_sdp_lifting():
     dense = prod.to_weighted_graph()
     opt, sol = bp.basic_sdp_opt(k2)
     ok = abs(opt - 2.0) <= 1e-9
-    lifted = bp.lift_vectors(sol, prod)
+    lifted = bp.lift_vectors(sol, prod, dense)
     ok = ok and abs(lifted.objective(dense) - 1.0) <= 1e-9
     ok = ok and abs(lifted.spread(dense) - 1.0) <= 1e-9
 
@@ -197,7 +197,8 @@ def test_criterion_08_sdp_lifting():
     for base in (k2, bp.path_graph(3), bp.path_graph(4)):
         cuts = bp.random_cut_combination(base, cuts=3, seed=7)
         assert bp.check_triangle(cuts).count == 0
-        rep = bp.check_triangle(bp.lift_vectors(cuts, bp.cartesian_power(base, 2)))
+        prod2 = bp.cartesian_power(base, 2)
+        rep = bp.check_triangle(bp.lift_vectors(cuts, prod2, prod2.to_weighted_graph()))
         ok = ok and rep.count == 0 and not rep.partial
 
     dist = bp.uniform_cut_distribution(2, (0,))

@@ -345,3 +345,54 @@ def test_isoperimetry_runs_each_descent_and_scan_once(monkeypatch, capsys):
         fresh = bp.chain_check(graph, seed=0)
         assert details[name] == {"alpha_hat": fresh.alpha_hat,
                                  "lambda1": fresh.lambda1, "phi": fresh.phi}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sdp-lift", "--builtin", "k2", "--k", "4"],
+    ["sdp-lift", "--builtin", "kq:3", "--k", "2", "--t-level", "3"],
+    ["sdp-lift", "--builtin", "cycle:5", "--k", "2", "--sdp-file", "cycle5.sdp.json",
+     "--sa-file", "cycle5.sa.json", "--lasserre-file", "cycle5.lasserre.json"],
+])
+def test_sdp_lift_materializes_the_product_once(argv, monkeypatch, capsys):
+    monkeypatch.chdir(Path(__file__).parent / "data")
+    built = []
+    original = bp.ProductGraph.to_weighted_graph
+
+    def counted(self, *args, **kwargs):
+        built.append(self.k)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(bp.ProductGraph, "to_weighted_graph", counted)
+    code = run(argv)
+    capsys.readouterr()
+    assert code == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("k", [11, 16, 17])
+def test_sdp_lift_over_the_vertex_cap_refused_before_building(k, monkeypatch, capsys):
+    # the lift's 1,024-vertex cap is met before any product edge is built
+    def unbuilt(self):
+        raise AssertionError("product edges built")
+
+    monkeypatch.setattr(bp.ProductGraph, "dense_edges", unbuilt)
+    started = time.perf_counter()
+    code = run(["sdp-lift", "--builtin", "k2", "--k", str(k)])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: refusing to materialize n^k = 2^{k} vertices "
+                            "(limit 1024)\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("k", [11, 16])
+def test_sdp_lift_checks_the_sdp_file_before_the_vertex_cap(k, monkeypatch, capsys):
+    # the SDP file is checked before the product is materialized
+    monkeypatch.chdir(Path(__file__).parent / "data")
+    code = run(["sdp-lift", "--builtin", "k2", "--k", str(k),
+                "--sdp-file", "cycle5.sdp.json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: SDP file has 5 vectors for the 2 vertices "
+                            "of the base graph\n")

@@ -55,7 +55,7 @@ def test_lift_vectors_k2(k2):
     prod = bp.cartesian_power(k2, 2)
     dense = prod.to_weighted_graph()
     _, sol = bp.basic_sdp_opt(k2)
-    lifted = bp.lift_vectors(sol, prod)
+    lifted = bp.lift_vectors(sol, prod, dense)
     assert math.isclose(lifted.objective(dense), 1.0, abs_tol=1e-9)
     assert math.isclose(lifted.spread(dense), 1.0, abs_tol=1e-9)
 
@@ -63,7 +63,7 @@ def test_lift_vectors_k2(k2):
 def test_lift_vectors_k1_identity(k3):
     prod = bp.cartesian_power(k3, 1)
     _, sol = bp.basic_sdp_opt(k3)
-    lifted = bp.lift_vectors(sol, prod)
+    lifted = bp.lift_vectors(sol, prod, prod.to_weighted_graph())
     assert math.isclose(lifted.objective(k3), sol.objective(k3), abs_tol=1e-12)
 
 
@@ -71,22 +71,23 @@ def test_lift_vectors_k3_objective(k3):
     prod = bp.cartesian_power(k3, 2)
     dense = prod.to_weighted_graph()
     _, sol = bp.basic_sdp_opt(k3)
-    lifted = bp.lift_vectors(sol, prod)
+    lifted = bp.lift_vectors(sol, prod, dense)
     assert math.isclose(lifted.objective(dense), 0.75, abs_tol=1e-9)
 
 
 def test_lift_vectors_random_feasible(p3):
     prod = bp.cartesian_power(p3, 2)
+    dense = prod.to_weighted_graph()
     for seed in range(10):
         sol = bp.random_feasible_sdp(p3, dim=2, seed=seed)
-        bp.lift_vectors(sol, prod)  # internal identity checks must pass
+        bp.lift_vectors(sol, prod, dense)  # internal identity checks must pass
 
 
 def test_lift_vectors_rejects_infeasible(k2):
     prod = bp.cartesian_power(k2, 2)
     bad = bp.SdpSolution(vectors=np.array([[1.0], [-1.0]]))
     with pytest.raises(ValueError, match="spread"):
-        bp.lift_vectors(bad, prod)
+        bp.lift_vectors(bad, prod, prod.to_weighted_graph())
 
 
 def test_triangle_cut_metric_clean(k2):
@@ -109,7 +110,7 @@ def test_triangle_preserved_by_lifting(p3, k2):
         prod = bp.cartesian_power(base, k)
         sol = bp.random_cut_combination(base, cuts=3, seed=11)
         assert bp.check_triangle(sol).count == 0
-        lifted = bp.lift_vectors(sol, prod)
+        lifted = bp.lift_vectors(sol, prod, prod.to_weighted_graph())
         rep = bp.check_triangle(lifted)
         assert rep.count == 0
         assert not rep.partial
