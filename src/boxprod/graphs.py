@@ -370,11 +370,9 @@ class ProductGraph:
             )
         if self.k == 1:
             return self.base
+        # base edges have u < v, so every product edge keeps eu < ev
         eu, ev, ew = self.dense_edges()
-        swap = eu > ev
-        eu2 = np.where(swap, ev, eu)
-        ev2 = np.where(swap, eu, ev)
-        return _from_arrays(self.num_vertices, eu2, ev2, ew,
+        return _from_arrays(self.num_vertices, eu, ev, ew,
                             normalize=False, check_connected=False)
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import Decomposition, FunctionTable
-from .spectral import (FourierCoefficients, SpectralBasis, decompose,
-                       dirichlet_form, eigendecompose, fourier_transform,
-                       influence_profile, inverse_transform)
+from .functions import FunctionTable
+from .spectral import (FourierCoefficients, decompose, dirichlet_form,
+                       eigendecompose, fourier_transform, influence_profile,
+                       inverse_transform)
 
 T_MAX = math.exp(-2.0)
 SLACK = 1e-9
@@ -60,19 +60,14 @@ class CorollaryRow:
     ok: bool
 
 
-def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float, *,
-                    basis: SpectralBasis | None = None,
-                    dec: Decomposition | None = None) -> list:
+def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float) -> list:
     """``corollary_check`` at each t of ``ts``, one list of rows per t.
     Only the right-hand sides depend on t; the rest is computed once."""
     for t in ts:
         _require_t(t)
     if not f.boolean_pm1:
         raise ValueError("corollary check requires a {-1,+1}-valued function")
-    if basis is None:
-        basis = eigendecompose(f.product.base)
-    if dec is None:
-        dec = decompose(f, basis)
+    dec = decompose(f, eigendecompose(f.product.base))
     terms = [(dirichlet_form(part), f.variance_along(j), part.norm2_sq())
              for j, part in enumerate(dec.parts)]
     sweep = []
@@ -85,12 +80,10 @@ def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float, *,
     return sweep
 
 
-def corollary_check(f: FunctionTable, t: float, alpha: float, *,
-                    basis: SpectralBasis | None = None,
-                    dec: Decomposition | None = None) -> list:
+def corollary_check(f: FunctionTable, t: float, alpha: float) -> list:
     """Per-coordinate lemma applied to the components of a Boolean f,
     with the 1-norm replaced by the coordinate variance."""
-    return corollary_sweep(f, (t,), alpha, basis=basis, dec=dec)[0]
+    return corollary_sweep(f, (t,), alpha)[0]
 
 
 # -- max influence report --------------------------------------------------------
@@ -230,10 +223,11 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
     if distance > 4.0 * real_distance + SLACK:
         raise AssertionError("sign rounding lost more than a factor of 4")
 
-    # the two intermediate bounds behind the threshold choice
-    dec_sorted = decompose(f, basis, order=list(np.argsort(-var_j, kind="stable")))
-    outside = sum(dirichlet_form(dec_sorted.parts[j])
-                  for j in range(k) if j not in junta)
+    # the two intermediate bounds behind the threshold choice.  Sorted by
+    # decreasing variance the junta coordinates come first, so the
+    # components off the junta sum to f - g_real; they are orthogonal, so
+    # their energies add up to its energy
+    outside = dirichlet_form(f.with_values(real_diff))
     if outside > energy + SLACK:
         raise AssertionError("off-junta component energy exceeds total energy")
     if float(var_j.sum()) > (k / (2.0 * phi)) * energy + SLACK:

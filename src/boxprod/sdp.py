@@ -151,16 +151,22 @@ def _family_size(n: int, low: int, level: int) -> int:
     return sum(math.comb(n, m) for m in range(low, min(level, n) + 1))
 
 
+def _require_liftable(n: int, low: int, level: int):
+    """Refuse a family of more than ``LIFT_MAX_SETS`` sets of ``low..level``
+    of ``n`` vertices before any set is listed."""
+    if _family_size(n, low, level) > LIFT_MAX_SETS:
+        raise ValueError("too many product subsets at this level")
+
+
 def _product_subsets(product: ProductGraph, low: int, level: int) -> list:
     """``_subsets`` of the product vertices, refused before any vertex
     tuple is built when there are more than ``LIFT_MAX_SETS`` of them.
 
     From level 1 on the family holds every singleton, so a product of
     more vertices than the cap is refused without computing n^k."""
-    if level >= 1 and (
-            not power_at_most(product.base.n, product.k, LIFT_MAX_SETS)
-            or _family_size(product.num_vertices, low, level) > LIFT_MAX_SETS):
+    if level >= 1 and not power_at_most(product.base.n, product.k, LIFT_MAX_SETS):
         raise ValueError("too many product subsets at this level")
+    _require_liftable(product.num_vertices, low, level)
     return _subsets(_product_vertices(product), low, level)
 
 
@@ -316,7 +322,11 @@ class LocalDistributions:
 
 
 def sa_from_distribution(dist: dict, n: int, level: int) -> LocalDistributions:
-    """Exact marginals of a global distribution over {-1,+1}^n."""
+    """Exact marginals of a global distribution over {-1,+1}^n.
+
+    A family over ``LIFT_MAX_SETS`` is refused before it is built: its
+    lift to any power lists at least as many sets."""
+    _require_liftable(n, 1, level)
     tables = {subset: _project(dist, subset)
               for subset in _subsets(range(n), 1, level)}
     return LocalDistributions(level=level, tables=tables)
@@ -473,7 +483,9 @@ def parity_projection(subset, j: int):
 
 def lasserre_from_distribution(dist: dict, n: int, level: int) -> SetVectorSolution:
     """Moment vectors of a global distribution: index-set character values
-    weighted by sqrt of the probability."""
+    weighted by sqrt of the probability.  Capped like
+    ``sa_from_distribution``."""
+    _require_liftable(n, 0, level)
     vectors = {subset: _moment_vector(dist, subset)
                for subset in _subsets(range(n), 0, level)}
     return SetVectorSolution(level=level, vectors=vectors)

@@ -148,38 +148,26 @@ def dirichlet_form(f: FunctionTable) -> float:
 
 # -- coordinate decomposition --------------------------------------------------
 
-def _component_masks(shape, order=None):
-    """Boolean masks over multi-indices: slot j nonzero, later slots zero.
-
-    ``order`` permutes which coordinate counts as "later"; identity by
-    default.
-    """
-    k = len(shape)
-    order = list(range(k)) if order is None else list(order)
+def _component_masks(shape):
+    """Boolean masks over multi-indices: slot j nonzero, later slots zero."""
     grids = np.indices(shape)
     masks = []
     trailing_zero = np.ones(shape, dtype=bool)
-    for pos in reversed(range(k)):
-        ax = order[pos]
-        masks.append((grids[ax] != 0) & trailing_zero)
-        trailing_zero = trailing_zero & (grids[ax] == 0)
+    for j in reversed(range(len(shape))):
+        masks.append((grids[j] != 0) & trailing_zero)
+        trailing_zero = trailing_zero & (grids[j] == 0)
     masks.reverse()
-    # masks[pos] belongs to coordinate order[pos]
-    out = [None] * k
-    for pos in range(k):
-        out[order[pos]] = masks[pos]
-    return out
+    return masks
 
 
-def decompose(f: FunctionTable, basis: SpectralBasis,
-              order=None) -> Decomposition:
+def decompose(f: FunctionTable, basis: SpectralBasis) -> Decomposition:
     """Orthogonal split of f into per-coordinate components.
 
-    Component j keeps the multi-indices whose last nonzero slot (in the
-    given coordinate order) is j; the constant part carries the mean.
+    Component j keeps the multi-indices whose last nonzero slot is j; the
+    constant part carries the mean.
     """
     coeffs = fourier_transform(f, basis)
-    masks = _component_masks(f.product.shape, order=order)
+    masks = _component_masks(f.product.shape)
     parts = []
     for j in range(f.k):
         cj = np.where(masks[j], coeffs.coeffs, 0.0)

@@ -107,7 +107,7 @@ def test_criterion_04_lemma_suite():
                 if part.norm2_sq() > vj + 1e-9 or part.norm1() > vj + 1e-9:
                     violations += 1
             for t in T_SWEEP:
-                rows = bp.corollary_check(f, t, alpha, basis=basis, dec=dec)
+                rows = bp.corollary_check(f, t, alpha)
                 violations += sum(0 if r.ok else 1 for r in rows)
     _verdict("criterion 4 (component lemma suite)",
              violations == 0 and total >= 200,

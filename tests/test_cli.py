@@ -8,6 +8,8 @@ import pytest
 
 import boxprod as bp
 from boxprod.cli import run
+from boxprod.graphs import write_json
+from boxprod.sdp import sa_to_dict
 
 
 def run_capture(argv, capsys):
@@ -270,6 +272,29 @@ def test_lift_over_the_set_cap_refused_at_once(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    # 2^20 - 1 SA tables on the 20 base vertices
+    ["sdp-lift", "--builtin", "cycle:20", "--k", "1", "--t-level", "20"],
+    # the SA file is level 1; the 2^18 Lasserre sets are generated
+    ["sdp-lift", "--builtin", "cycle:18", "--k", "1", "--t-level", "18",
+     "--sa-file", "cycle18.sa.json"],
+])
+def test_generated_family_over_the_set_cap_refused_at_once(argv, tmp_path, monkeypatch,
+                                                           capsys):
+    # a base family over the cap lifts to one at least as large, so it is
+    # refused before it is built
+    monkeypatch.chdir(tmp_path)
+    dist = bp.uniform_cut_distribution(18, range(9))
+    write_json(sa_to_dict(bp.sa_from_distribution(dist, 18, 1)), "cycle18.sa.json")
+    started = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: too many product subsets at this level\n"
+    assert elapsed < 1.0
+
+
 def test_huge_graph_file_refused_at_once(tmp_path, capsys):
     # the components are found over the touched vertices only
     path = tmp_path / "g.json"
@@ -289,6 +314,9 @@ GOLDEN = {
     "kkl": ["kkl", "--builtin", "k2", "--k", "3", "--fn", "random", "--seed", "3"],
     "friedgut": ["friedgut", "--builtin", "k2", "--k", "4", "--fn", "dictator",
                  "--seed", "3"],
+    # K3 has no certified constant, so alpha is the descent's estimate
+    "friedgut-estimated": ["friedgut", "--builtin", "kq:3", "--k", "3", "--fn",
+                           "random", "--seed", "3"],
     "sdp-lift": ["sdp-lift", "--builtin", "k2", "--k", "2", "--seed", "3"],
     # a cut mixture whose lifted SA tables and vectors show rounding gaps
     "sdp-lift-files": ["sdp-lift", "--builtin", "cycle:5", "--k", "2", "--seed", "3",

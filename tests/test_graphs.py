@@ -125,6 +125,18 @@ def test_product_masses_sum_to_one(k3, p3):
         assert math.isclose(ew.sum(), 1.0, abs_tol=1e-12)
 
 
+def test_dense_edges_run_from_lower_to_higher_index(k3, tmp_path):
+    # base edges have u < v and both ends of a product edge share the offset
+    # of the other coordinates, so the materialized product needs no swap
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[3, 0, 1.3], [2, 1, 3.0],
+                                                  [1, 0, 1.0], [2, 3, 0.7]]}))
+    for g, k in ((k3, 3), (bp.named_graph("necklace:5"), 2), (bp.load_graph(path), 3)):
+        eu, ev, _ = bp.cartesian_power(g, k).dense_edges()
+        assert len(eu) == k * g.num_edges * g.n ** (k - 1)
+        assert np.all(eu < ev)
+
+
 def test_product_measure_consistency(p3):
     for g, k in [(p3, 2), (p3, 3)]:
         dense = bp.cartesian_power(g, k).to_weighted_graph()

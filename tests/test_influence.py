@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import boxprod as bp
+from boxprod import influence, spectral
 from boxprod.cli import T_SWEEP
-from boxprod.influence import SLACK, CorollaryRow, _entropy_rhs
+from boxprod.influence import SLACK, CorollaryRow, _entropy_rhs, _truncate_to_junta
+from conftest import naive_component
 
 T_MAX = math.exp(-2.0)
 
@@ -61,12 +63,11 @@ def test_corollary_dictator_and_parity(k2):
 
 def test_corollary_random_sweep(k2):
     prod = bp.cartesian_power(k2, 3)
-    basis = bp.eigendecompose(k2)
     rng = np.random.default_rng(1)
     for _ in range(200):
         f = bp.random_boolean(prod, rng)
         for t in (T_MAX, 0.05, 0.01):
-            rows = bp.corollary_check(f, t, 2.0, basis=basis)
+            rows = bp.corollary_check(f, t, 2.0)
             assert all(r.ok for r in rows)
 
 
@@ -87,10 +88,10 @@ def test_corollary_sweep_matches_fresh_decompositions(k2, k3):
         basis = bp.eigendecompose(g)
         for _ in range(4):
             f = bp.random_boolean(prod, rng)
-            sweep = bp.corollary_sweep(f, T_SWEEP, alpha, basis=basis)
+            sweep = bp.corollary_sweep(f, T_SWEEP, alpha)
             assert len(sweep) == len(T_SWEEP)
             for t, rows in zip(T_SWEEP, sweep):
-                fresh = bp.corollary_check(f, t, alpha, dec=bp.decompose(f, basis))
+                fresh = bp.corollary_check(f, t, alpha)
                 assert rows == fresh
                 assert rows == _reference_rows(f, t, alpha, basis)
 
@@ -215,3 +216,69 @@ def test_sign_rounding_factor_four(k2):
         res = bp.friedgut_extract(f, 0.9, 2.0, 1.0)
         real_dist = float(np.sum(pi * (f.values - res.g_real.values) ** 2))
         assert res.distance <= 4.0 * real_dist + 1e-9
+
+
+def _off_junta_oracle(f, junta, order):
+    """Sum and total energy of the components off ``junta`` when the
+    coordinates are taken in ``order``, by the dense oracle."""
+    parts = [np.array(naive_component(f, j, order)) for j in range(f.k) if j not in junta]
+    total = sum(parts) if parts else np.zeros(f.product.num_vertices)
+    return total, sum(bp.dirichlet_form(f.with_values(p)) for p in parts)
+
+
+def test_off_junta_energy_is_the_energy_of_f_minus_g_real(k2, k3, p3):
+    # with the junta coordinates first in the order, the components whose
+    # support leaves the junta sum to f - g_real, and their energies add
+    weighted = bp.build_graph(4, [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 0.7), (0, 3, 1.3)])
+    rng = np.random.default_rng(11)
+    for g, k in ((k3, 3), (p3, 3), (k2, 5), (weighted, 3)):
+        prod = bp.cartesian_power(g, k)
+        basis = bp.eigendecompose(g)
+        for size in (0, 1, k - 1, k):
+            f = bp.random_boolean(prod, rng)
+            junta = [int(j) for j in rng.permutation(k)[:size]]
+            order = junta + [int(j) for j in rng.permutation(k) if j not in junta]
+            real_diff = f.values - _truncate_to_junta(f, basis, set(junta)).values
+            total, energy = _off_junta_oracle(f, junta, order)
+            assert np.allclose(total, real_diff, atol=1e-12)
+            assert math.isclose(bp.dirichlet_form(f.with_values(real_diff)), energy,
+                                abs_tol=1e-12)
+
+
+def test_friedgut_junta_leads_the_variance_order(k2, k3):
+    # the extractor's self-check rests on its junta being a prefix of the
+    # coordinates sorted by decreasing variance
+    rng = np.random.default_rng(12)
+    # a random function of coordinates 1 and 3 of K3^4 only
+    pattern = rng.choice([-1.0, 1.0], size=(1, 3, 1, 3))
+    on_two = np.broadcast_to(pattern, (3,) * 4).reshape(-1)
+    cases = [(bp.from_values(bp.cartesian_power(k3, 4), on_two), 0.1, 1.44, 0.75),
+             (bp.dictator(bp.cartesian_power(k2, 6), 2), 0.1, 2.0, 1.0),
+             (bp.random_boolean(bp.cartesian_power(k3, 3), rng), 0.1, 1.44, 0.75)]
+    partial = 0
+    for f, eps, alpha, phi in cases:
+        res = bp.friedgut_extract(f, eps, alpha, phi)
+        order = [int(j) for j in np.argsort(-res.coordinate_variances, kind="stable")]
+        assert sorted(order[:len(res.junta)]) == list(res.junta)
+        partial += 0 < len(res.junta) < f.k
+        total, energy = _off_junta_oracle(f, res.junta, order)
+        assert np.allclose(total, f.values - res.g_real.values, atol=1e-12)
+        assert math.isclose(bp.dirichlet_form(f.with_values(total)), energy, abs_tol=1e-12)
+    assert partial >= 2
+
+
+def test_friedgut_transforms_once_each_way(k2, k3, monkeypatch):
+    calls = {"fourier_transform": 0, "inverse_transform": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(spectral, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        for module in (spectral, influence):
+            monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(13)
+    for f, alpha, phi in ((bp.dictator(bp.cartesian_power(k2, 4), 0), 2.0, 1.0),
+                          (bp.random_boolean(bp.cartesian_power(k3, 3), rng), 1.44, 0.75)):
+        for name in calls:
+            calls[name] = 0
+        bp.friedgut_extract(f, 0.1, alpha, phi)
+        assert calls == {"fourier_transform": 1, "inverse_transform": 1}

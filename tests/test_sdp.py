@@ -575,3 +575,18 @@ def test_set_cap_counts_the_whole_family(monkeypatch, k2, lift):
     monkeypatch.setattr(sdp, "LIFT_MAX_SETS", size - 1)
     with pytest.raises(ValueError, match="too many product subsets"):
         family()
+
+
+@pytest.mark.parametrize("generate, sets, size", [
+    # subsets of 1..3 of the 5 vertices: 5 + 10 + 10, and the empty set for Lasserre
+    (bp.sa_from_distribution, "tables", 25),
+    (bp.lasserre_from_distribution, "vectors", 26)])
+def test_generated_family_meets_the_set_cap(monkeypatch, generate, sets, size):
+    from boxprod import sdp
+
+    dist = bp.uniform_cut_distribution(5, (0, 1))
+    monkeypatch.setattr(sdp, "LIFT_MAX_SETS", size)
+    assert len(getattr(generate(dist, 5, 3), sets)) == size
+    monkeypatch.setattr(sdp, "LIFT_MAX_SETS", size - 1)
+    with pytest.raises(ValueError, match="^too many product subsets at this level$"):
+        generate(dist, 5, 3)
