@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProductGraph, entropy_sq, read_json, write_json
+from .graphs import CHECK_SLACK, ProductGraph, entropy_sq, read_json, write_json
 
 BOOL_TOL = 1e-12
-# slack of the norm and variance bounds
-BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +75,7 @@ class FunctionTable:
         tens = np.moveaxis(self.as_tensor(), j, 0).reshape(n, -1)
         m1 = pi @ tens
         m2 = pi @ (tens * tens)
-        rest = self.product.pi_rest(j)
-        return float((m2 - m1 * m1) @ rest)
+        return float((m2 - m1 * m1) @ self.product.pi_rest())
 
     def centering_form(self, j: int) -> float:
         """Same quantity via the coordinate-j centering quadratic form."""
@@ -87,8 +84,7 @@ class FunctionTable:
         tens = np.moveaxis(self.as_tensor(), j, 0).reshape(n, -1)
         # apply diag(pi) - pi pi^T along axis j, diag(pi) elsewhere
         applied = pi[:, None] * (tens - (pi @ tens)[None, :])
-        rest = self.product.pi_rest(j)
-        return float(np.sum(tens * applied, axis=0) @ rest)
+        return float(np.sum(tens * applied, axis=0) @ self.product.pi_rest())
 
     def entropy_sq(self) -> float:
         """Entropy of f^2 under the product measure (0*log0 = 0)."""
@@ -175,8 +171,8 @@ def check_l2_l1_bounds(f: FunctionTable, dec: Decomposition):
             "l2_sq": l2_sq,
             "l1": l1,
             "var_j": vj,
-            "ok_l2": bool(l2_sq <= vj + BOUND_SLACK),
-            "ok_l1": bool(l1 <= vj + BOUND_SLACK),
+            "ok_l2": bool(l2_sq <= vj + CHECK_SLACK),
+            "ok_l1": bool(l1 <= vj + CHECK_SLACK),
         })
     return rows
 
@@ -185,7 +181,7 @@ def efron_stein_check(f: FunctionTable):
     """Return (sum of coordinate variances, variance); the sum dominates."""
     lhs = sum(f.variance_along(j) for j in range(f.k))
     rhs = f.variance()
-    if lhs < rhs - BOUND_SLACK:
+    if lhs < rhs - CHECK_SLACK:
         raise AssertionError(
             f"variance subadditivity violated: {lhs} < {rhs}"
         )

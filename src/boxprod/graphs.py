@@ -26,6 +26,8 @@ import numpy as np
 DENSE_CAP = 1 << 22
 
 MEASURE_TOL = 1e-12
+# slack of every exact-recomputation check; reports state it as check_abs
+CHECK_SLACK = 1e-9
 
 
 class DenseCapError(RuntimeError):
@@ -314,8 +316,8 @@ class ProductGraph:
         self.require_dense()
         return self._pi_power(self.k)
 
-    def pi_rest(self, j: int) -> np.ndarray:
-        """Flat product measure over all coordinates but ``j`` (one array for any j)."""
+    def pi_rest(self) -> np.ndarray:
+        """Flat product measure of the k - 1 coordinates besides any one j."""
         if not power_at_most(self.base.n, self.k - 1, self.dense_cap):
             raise DenseCapError("n^(k-1) exceeds the dense cap")
         return self._pi_power(self.k - 1)
@@ -347,7 +349,7 @@ class ProductGraph:
         self.require_dense()
         n, k = self.base.n, self.k
         rest_count = n ** (k - 1)
-        pi_rest_flat = self.pi_rest(0)
+        pi_rest_flat = self.pi_rest()
         us, vs, ws = [], [], []
         r = np.arange(rest_count, dtype=np.int64)
         for j in range(k):

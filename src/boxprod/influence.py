@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import FunctionTable
+from .graphs import CHECK_SLACK
 from .spectral import (FourierCoefficients, decompose, dirichlet_form,
                        eigendecompose, fourier_transform, influence_profile,
                        inverse_transform)
 
 T_MAX = math.exp(-2.0)
-SLACK = 1e-9
 
 
 def _entropy_rhs(alpha, k, t, l1, l2_sq):
@@ -49,7 +49,7 @@ def main_lemma_check(h: FunctionTable, t: float, alpha: float) -> LemmaCheck:
     _require_t(t)
     lhs = dirichlet_form(h)
     rhs = _entropy_rhs(alpha, h.k, t, h.norm1(), h.norm2_sq())
-    return LemmaCheck(lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - SLACK))
+    return LemmaCheck(lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - CHECK_SLACK))
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float) -> list:
         rows = []
         for j, (lhs, var_j, l2_sq) in enumerate(terms):
             rhs = _entropy_rhs(alpha, f.k, t, var_j, l2_sq)
-            rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - SLACK)))
+            rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs,
+                                     ok=bool(lhs >= rhs - CHECK_SLACK)))
         sweep.append(rows)
     return sweep
 
@@ -215,12 +216,12 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
 
     size_bound_log = 50.0 * k * energy / (epsilon * alpha)
 
-    if distance > epsilon + SLACK:
+    if distance > epsilon + CHECK_SLACK:
         raise AssertionError(
             f"junta distance {distance} exceeds epsilon {epsilon}")
-    if len(junta) > 0 and math.log(len(junta)) > size_bound_log + SLACK:
+    if len(junta) > 0 and math.log(len(junta)) > size_bound_log + CHECK_SLACK:
         raise AssertionError("junta size exceeds its guaranteed bound")
-    if distance > 4.0 * real_distance + SLACK:
+    if distance > 4.0 * real_distance + CHECK_SLACK:
         raise AssertionError("sign rounding lost more than a factor of 4")
 
     # the two intermediate bounds behind the threshold choice.  Sorted by
@@ -228,9 +229,9 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
     # components off the junta sum to f - g_real; they are orthogonal, so
     # their energies add up to its energy
     outside = dirichlet_form(f.with_values(real_diff))
-    if outside > energy + SLACK:
+    if outside > energy + CHECK_SLACK:
         raise AssertionError("off-junta component energy exceeds total energy")
-    if float(var_j.sum()) > (k / (2.0 * phi)) * energy + SLACK:
+    if float(var_j.sum()) > (k / (2.0 * phi)) * energy + CHECK_SLACK:
         raise AssertionError("coordinate variances exceed the energy bound")
 
     return JuntaResult(

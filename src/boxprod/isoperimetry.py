@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (ProductGraph, WeightedGraph, cartesian_power, log0,
-                     power_at_most)
+from .graphs import (CHECK_SLACK, ProductGraph, WeightedGraph, cartesian_power,
+                     log0, power_at_most)
 from .spectral import eigendecompose
 
 BRUTE_FORCE_MAX_VERTICES = 25
@@ -335,7 +335,7 @@ def _chain_report(est: LogSobolevEstimate, lam1: float, scan) -> ChainReport:
         phi=phi,
         phi_witness=witness,
         alpha_le_lambda=bool(est.alpha_hat <= lam1 * (1.0 + CHAIN_REL_TOL) + 1e-12),
-        lambda_le_2phi=bool(lam1 <= 2.0 * phi + 1e-9),
+        lambda_le_2phi=bool(lam1 <= 2.0 * phi + CHECK_SLACK),
     )
 
 

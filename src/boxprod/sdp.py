@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProductGraph, WeightedGraph, power_at_most
+from .graphs import CHECK_SLACK, ProductGraph, WeightedGraph, power_at_most
 from .spectral import eigendecompose
 
-TOL = 1e-9
 # tolerance of the moment-matrix factorization of level-2 tables
 FACTOR_TOL = 1e-7
 LIFT_MAX_VERTICES = 1 << 10
@@ -64,9 +63,9 @@ class SdpSolution:
         return 2.0 * (second - float(mean_vec @ mean_vec))
 
     def is_feasible(self, graph: WeightedGraph) -> bool:
-        return abs(self.spread(graph) - 1.0) <= TOL
+        return abs(self.spread(graph) - 1.0) <= CHECK_SLACK
 
-    def unit_norms(self, tol: float = TOL) -> bool:
+    def unit_norms(self, tol: float = CHECK_SLACK) -> bool:
         norms = np.sum(self.vectors ** 2, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= tol))
 
@@ -86,41 +85,50 @@ def basic_sdp_opt(graph: WeightedGraph):
     opt = basis.lambda1
     vec = basis.eigenfunctions[:, 1].copy()
     sol = SdpSolution(vectors=(vec / math.sqrt(2.0))[:, None])
-    if abs(sol.spread(graph) - 1.0) > TOL:
+    if abs(sol.spread(graph) - 1.0) > CHECK_SLACK:
         raise AssertionError("witness embedding misses the spread constraint")
-    if abs(sol.objective(graph) - opt) > TOL:
+    if abs(sol.objective(graph) - opt) > CHECK_SLACK:
         raise AssertionError("witness objective does not match the optimum")
     return opt, sol
 
 
-def lift_vectors(sol: SdpSolution, product: ProductGraph,
-                 dense: WeightedGraph) -> SdpSolution:
+@dataclass(frozen=True, eq=False)
+class LiftedSolution(SdpSolution):
+    """A direct-sum lift and the objectives and spread its checks computed."""
+
+    objective_base: float
+    objective_lifted: float
+    spread_lifted: float
+
+
+def lift_vectors(sol: SdpSolution, product: ProductGraph) -> LiftedSolution:
     """Direct-sum lifting: product vertex x gets (1/sqrt(k)) (+) v_{x_j}.
 
-    Verifies the three lifting identities: Gram entries average the
-    coordinate Gram entries, spread stays 1, and the objective drops by
-    exactly the factor k.  ``dense`` is ``product`` materialized, which
-    ``analyze sdp-lift`` caps at LIFT_MAX_VERTICES.
+    Materializes ``product`` under LIFT_MAX_VERTICES, so a larger product
+    is refused before the solution is checked, then verifies the three
+    lifting identities: Gram entries average the coordinate Gram entries,
+    spread stays 1, and the objective drops by exactly the factor k.
     """
+    dense = product.to_weighted_graph(max_vertices=LIFT_MAX_VERTICES)
     base = product.base
     if not sol.is_feasible(base):
         raise ValueError("input solution violates the spread constraint")
     k = product.k
-    coords = np.array(_product_vertices(product), dtype=np.int64)
+    coords = np.array(_product_vertices(product))
     out = SdpSolution(vectors=_direct_sum(sol.vectors, coords))
 
     base_gram = sol.gram()
-    want = np.zeros((len(coords), len(coords)))
-    for j in range(k):
-        want += base_gram[np.ix_(coords[:, j], coords[:, j])]
-    want /= k
-    if float(np.abs(out.gram() - want).max()) > TOL:
+    want = sum(base_gram[np.ix_(c, c)] for c in coords.T) / k
+    if float(np.abs(out.gram() - want).max()) > CHECK_SLACK:
         raise AssertionError("lifted Gram is not the coordinate mean")
-    if abs(out.spread(dense) - 1.0) > TOL:
+    spread = out.spread(dense)
+    if abs(spread - 1.0) > CHECK_SLACK:
         raise AssertionError("lifted solution violates the spread constraint")
-    if abs(out.objective(dense) - sol.objective(base) / k) > TOL:
+    objective, base_objective = out.objective(dense), sol.objective(base)
+    if abs(objective - base_objective / k) > CHECK_SLACK:
         raise AssertionError("lifted objective is not objective/k")
-    return out
+    return LiftedSolution(vectors=out.vectors, objective_base=base_objective,
+                          objective_lifted=objective, spread_lifted=spread)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,23 +159,16 @@ def _family_size(n: int, low: int, level: int) -> int:
     return sum(math.comb(n, m) for m in range(low, min(level, n) + 1))
 
 
-def _require_liftable(n: int, low: int, level: int):
+def _require_liftable(n: int, low: int, level: int, k: int = 1):
     """Refuse a family of more than ``LIFT_MAX_SETS`` sets of ``low..level``
-    of ``n`` vertices before any set is listed."""
-    if _family_size(n, low, level) > LIFT_MAX_SETS:
+    of the ``n**k`` vertices of G^k before any set is listed.
+
+    From level 1 on the family holds every singleton, so more vertices than
+    the cap are refused without computing n**k; below level 1 the family
+    holds at most the empty set."""
+    if level >= 1 and not (power_at_most(n, k, LIFT_MAX_SETS)
+                           and _family_size(n ** k, low, level) <= LIFT_MAX_SETS):
         raise ValueError("too many product subsets at this level")
-
-
-def _product_subsets(product: ProductGraph, low: int, level: int) -> list:
-    """``_subsets`` of the product vertices, refused before any vertex
-    tuple is built when there are more than ``LIFT_MAX_SETS`` of them.
-
-    From level 1 on the family holds every singleton, so a product of
-    more vertices than the cap is refused without computing n^k."""
-    if level >= 1 and not power_at_most(product.base.n, product.k, LIFT_MAX_SETS):
-        raise ValueError("too many product subsets at this level")
-    _require_liftable(product.num_vertices, low, level)
-    return _subsets(_product_vertices(product), low, level)
 
 
 def _direct_sum(vectors: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -178,15 +179,15 @@ def _direct_sum(vectors: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def _triangle_scan(dist):
-    """Count ordered triples (x, y, z) with d(x,z) - d(x,y) - d(y,z) > TOL;
-    returns (count, worst slack)."""
+    """Count ordered triples (x, y, z) with d(x,z) - d(x,y) - d(y,z) beyond
+    CHECK_SLACK; returns (count, worst slack)."""
     n = dist.shape[0]
     count = 0
     worst = 0.0
     for x0 in range(0, n, TRIANGLE_BLOCK):
         xs = np.arange(x0, min(x0 + TRIANGLE_BLOCK, n))
         slack = dist[xs][:, None, :] - dist[xs][:, :, None] - dist[None, :, :]
-        bad = slack > TOL
+        bad = slack > CHECK_SLACK
         c = int(bad.sum())
         if c:
             worst = max(worst, float(slack[bad].max()))
@@ -211,7 +212,7 @@ def check_triangle(sol: SdpSolution, *, budget: int = 2_000_000,
     ys = rng.integers(0, n, size=budget)
     zs = rng.integers(0, n, size=budget)
     slack = dist[xs, zs] - dist[xs, ys] - dist[ys, zs]
-    bad = slack > TOL
+    bad = slack > CHECK_SLACK
     worst = float(slack[bad].max()) if bad.any() else 0.0
     return TriangleReport(count=int(bad.sum()), worst=worst, checked=budget,
                           partial=True)
@@ -269,9 +270,9 @@ class LocalDistributions:
                 raise ValueError(f"subset {subset} exceeds level {self.level}")
             total = sum(table.values())
             # written so that a NaN fails it
-            if not abs(total - 1.0) <= TOL:
+            if not abs(total - 1.0) <= CHECK_SLACK:
                 raise ValueError(f"table for {subset} sums to {total}")
-            if any(p < -TOL for p in table.values()):
+            if any(p < -CHECK_SLACK for p in table.values()):
                 raise ValueError(f"negative probability in table for {subset}")
 
     def check_marginal_consistency(self) -> float:
@@ -284,24 +285,25 @@ class LocalDistributions:
         the gap is the float a loop over all pairs gives.
         """
         keys = self.subsets()
-        member = _membership(keys).astype(np.float64)
         by_common: dict = {}
         for row, subset in enumerate(keys):
             for pos in _subsets(range(len(subset)), 1, len(subset)):
                 by_common.setdefault(tuple(subset[i] for i in pos), []).append(
                     (row, _project(self.tables[subset], pos)))
+        shared = [item for item in by_common.items() if len(item[1]) > 1]
+        if not shared:
+            return 0.0
+        member = _membership(keys).astype(np.float64)
         worst = 0.0
-        for common, entries in by_common.items():
-            if len(entries) < 2:
-                continue
-            column: dict = {}
-            for _, marginal in entries:
-                for key in marginal:
-                    column.setdefault(key, len(column))
-            # a key missing from a marginal has probability 0.0
-            probs = np.zeros((len(entries), len(column)))
-            for i, (_, marginal) in enumerate(entries):
-                probs[i, [column[key] for key in marginal]] = list(marginal.values())
+        for common, entries in shared:
+            # column c of a marginal holds the assignment whose + signs are
+            # the bits of c; a key missing from it has probability 0.0
+            width = len(common)
+            signs = np.array([key for _, m in entries for key in m]).reshape(-1, width)
+            rows = np.repeat(np.arange(len(entries)), [len(m) for _, m in entries])
+            probs = np.zeros((len(entries), 1 << width))
+            probs[rows, (signs > 0) @ (1 << np.arange(width))] = [
+                p for _, m in entries for p in m.values()]
             sub = member[[row for row, _ in entries]]
             step = max(1, VERIFY_BLOCK_ENTRIES // len(entries))
             for r0 in range(0, len(entries), step):
@@ -318,7 +320,8 @@ class LocalDistributions:
         """Max gap between Gram entries and pair-correlation moments, the
         vertices taken in the rows of ``_pair_moments``."""
         x, y, corr = _pair_moments(self)
-        return float(np.abs(sol.gram()[x, y] - corr).max(initial=0.0))
+        # no pair table (a level-1 family): no n x n Gram matrix to build
+        return float(np.abs(sol.gram()[x, y] - corr).max()) if len(x) else 0.0
 
 
 def sa_from_distribution(dist: dict, n: int, level: int) -> LocalDistributions:
@@ -387,8 +390,11 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
     if sol.n != base_n:
         raise ValueError("solution size does not match the base graph")
     k = product.k
+    _require_liftable(base_n, 1, ld.level, k)
+    # one listing of the vertices serves the family and the direct sum
+    vertices = _product_vertices(product)
     tables = {}
-    for subset in _product_subsets(product, 1, ld.level):
+    for subset in _subsets(vertices, 1, ld.level):
         table: dict = {}
         for j in range(k):
             collapsed = tuple(sorted({x[j] for x in subset}))
@@ -399,8 +405,7 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
                 table[key] = table.get(key, 0.0) + p / k
         tables[subset] = table
     lifted_ld = LocalDistributions(level=ld.level, tables=tables)
-    lifted_sol = SdpSolution(vectors=_direct_sum(
-        sol.vectors, np.array(_product_vertices(product), dtype=np.int64)))
+    lifted_sol = SdpSolution(vectors=_direct_sum(sol.vectors, np.array(vertices)))
 
     lifted_ld.check_tables()
     marginal_gap = lifted_ld.check_marginal_consistency()
@@ -500,14 +505,13 @@ def lift_lasserre(ls: SetVectorSolution, product: ProductGraph,
         raise ValueError(
             f"requested level {level} exceeds base solution level {ls.level}")
     k = product.k
+    _require_liftable(product.base.n, 0, level, k)
+    # a level-0 family is the empty set alone and lists no vertex
+    vertices = _product_vertices(product) if level >= 1 else ()
     scale = 1.0 / math.sqrt(k)
-    vectors = {}
-    for subset in _product_subsets(product, 0, level):
-        parts = []
-        for j in range(k):
-            tj = tuple(sorted(parity_projection(subset, j)))
-            parts.append(scale * ls.vectors[tj])
-        vectors[subset] = np.concatenate(parts)
+    vectors = {subset: np.concatenate([
+        scale * ls.vectors[tuple(sorted(parity_projection(subset, j)))]
+        for j in range(k)]) for subset in _subsets(vertices, 0, level)}
     return SetVectorSolution(level=level, vectors=vectors)
 
 

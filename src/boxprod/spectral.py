@@ -128,7 +128,7 @@ def directional_form(f: FunctionTable, j: int) -> float:
     prod = f.product
     base = prod.base
     tens = np.moveaxis(f.as_tensor(), j, 0).reshape(base.n, -1)
-    rest = prod.pi_rest(j)
+    rest = prod.pi_rest()
     total = 0.0
     for u, v, w in zip(base.edge_u, base.edge_v, base.edge_w):
         d = tens[u] - tens[v]

@@ -189,7 +189,7 @@ def test_criterion_08_sdp_lifting():
     dense = prod.to_weighted_graph()
     opt, sol = bp.basic_sdp_opt(k2)
     ok = abs(opt - 2.0) <= 1e-9
-    lifted = bp.lift_vectors(sol, prod, dense)
+    lifted = bp.lift_vectors(sol, prod)
     ok = ok and abs(lifted.objective(dense) - 1.0) <= 1e-9
     ok = ok and abs(lifted.spread(dense) - 1.0) <= 1e-9
 
@@ -198,7 +198,7 @@ def test_criterion_08_sdp_lifting():
         cuts = bp.random_cut_combination(base, cuts=3, seed=7)
         assert bp.check_triangle(cuts).count == 0
         prod2 = bp.cartesian_power(base, 2)
-        rep = bp.check_triangle(bp.lift_vectors(cuts, prod2, prod2.to_weighted_graph()))
+        rep = bp.check_triangle(bp.lift_vectors(cuts, prod2))
         ok = ok and rep.count == 0 and not rep.partial
 
     dist = bp.uniform_cut_distribution(2, (0,))

@@ -397,6 +397,34 @@ def test_sdp_lift_materializes_the_product_once(argv, monkeypatch, capsys):
     assert len(built) == 1
 
 
+def test_sdp_lift_reads_the_values_lift_vectors_checked(monkeypatch, capsys):
+    # basic_sdp_opt checks its witness, lift_vectors its input and its lift;
+    # the report evaluates nothing again
+    from boxprod import sdp
+
+    calls = {"objective": 0, "spread": 0, "to_weighted_graph": 0}
+    for cls, name in ((sdp.SdpSolution, "objective"), (sdp.SdpSolution, "spread"),
+                      (bp.ProductGraph, "to_weighted_graph")):
+        def counted(self, *args, _fn=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    code = run(["sdp-lift", "--builtin", "cycle:5", "--k", "2"])
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert code == 0
+    assert calls == {"objective": 3, "spread": 3, "to_weighted_graph": 1}
+
+
+def test_tolerances_are_the_constants_the_checks_read():
+    from boxprod import cli, functions, graphs, influence, isoperimetry, sdp
+
+    assert cli.TOLERANCES["alpha_chain_rel"] == isoperimetry.CHAIN_REL_TOL
+    for module in (sdp, influence, functions, isoperimetry):
+        assert module.CHECK_SLACK is graphs.CHECK_SLACK
+    assert cli.TOLERANCES["check_abs"] == graphs.CHECK_SLACK
+
+
 @pytest.mark.parametrize("k", [11, 16, 17])
 def test_sdp_lift_over_the_vertex_cap_refused_before_building(k, monkeypatch, capsys):
     # the lift's 1,024-vertex cap is met before any product edge is built

@@ -8,7 +8,8 @@ import pytest
 import boxprod as bp
 from boxprod import influence, spectral
 from boxprod.cli import T_SWEEP
-from boxprod.influence import SLACK, CorollaryRow, _entropy_rhs, _truncate_to_junta
+from boxprod.graphs import CHECK_SLACK
+from boxprod.influence import CorollaryRow, _entropy_rhs, _truncate_to_junta
 from conftest import naive_component
 
 T_MAX = math.exp(-2.0)
@@ -77,7 +78,7 @@ def _reference_rows(f, t, alpha, basis):
     for j, part in enumerate(bp.decompose(f, basis).parts):
         lhs = bp.dirichlet_form(part)
         rhs = _entropy_rhs(alpha, f.k, t, f.variance_along(j), part.norm2_sq())
-        rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - SLACK)))
+        rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - CHECK_SLACK)))
     return rows
 
 

@@ -55,7 +55,7 @@ def test_lift_vectors_k2(k2):
     prod = bp.cartesian_power(k2, 2)
     dense = prod.to_weighted_graph()
     _, sol = bp.basic_sdp_opt(k2)
-    lifted = bp.lift_vectors(sol, prod, dense)
+    lifted = bp.lift_vectors(sol, prod)
     assert math.isclose(lifted.objective(dense), 1.0, abs_tol=1e-9)
     assert math.isclose(lifted.spread(dense), 1.0, abs_tol=1e-9)
 
@@ -63,7 +63,7 @@ def test_lift_vectors_k2(k2):
 def test_lift_vectors_k1_identity(k3):
     prod = bp.cartesian_power(k3, 1)
     _, sol = bp.basic_sdp_opt(k3)
-    lifted = bp.lift_vectors(sol, prod, prod.to_weighted_graph())
+    lifted = bp.lift_vectors(sol, prod)
     assert math.isclose(lifted.objective(k3), sol.objective(k3), abs_tol=1e-12)
 
 
@@ -71,23 +71,46 @@ def test_lift_vectors_k3_objective(k3):
     prod = bp.cartesian_power(k3, 2)
     dense = prod.to_weighted_graph()
     _, sol = bp.basic_sdp_opt(k3)
-    lifted = bp.lift_vectors(sol, prod, dense)
+    lifted = bp.lift_vectors(sol, prod)
     assert math.isclose(lifted.objective(dense), 0.75, abs_tol=1e-9)
 
 
 def test_lift_vectors_random_feasible(p3):
     prod = bp.cartesian_power(p3, 2)
-    dense = prod.to_weighted_graph()
     for seed in range(10):
         sol = bp.random_feasible_sdp(p3, dim=2, seed=seed)
-        bp.lift_vectors(sol, prod, dense)  # internal identity checks must pass
+        bp.lift_vectors(sol, prod)  # internal identity checks must pass
 
 
 def test_lift_vectors_rejects_infeasible(k2):
     prod = bp.cartesian_power(k2, 2)
     bad = bp.SdpSolution(vectors=np.array([[1.0], [-1.0]]))
     with pytest.raises(ValueError, match="spread"):
-        bp.lift_vectors(bad, prod, prod.to_weighted_graph())
+        bp.lift_vectors(bad, prod)
+
+
+def test_lift_vectors_returns_the_values_it_checked(k2, k3, p3, c5):
+    from boxprod.sdp import LIFT_MAX_VERTICES
+
+    cases = [(k2, 2, bp.basic_sdp_opt(k2)[1]), (k3, 1, bp.basic_sdp_opt(k3)[1]),
+             (p3, 2, bp.random_feasible_sdp(p3, dim=2, seed=4)),
+             (c5, 2, bp.random_cut_combination(c5, cuts=3, seed=5)),
+             (k2, 10, bp.basic_sdp_opt(k2)[1])]
+    for base, k, sol in cases:
+        prod = bp.cartesian_power(base, k)
+        lifted = bp.lift_vectors(sol, prod)
+        assert isinstance(lifted, bp.SdpSolution) and lifted.n == base.n ** k
+        dense = prod.to_weighted_graph(max_vertices=LIFT_MAX_VERTICES)
+        assert lifted.objective_base == sol.objective(base)
+        assert lifted.objective_lifted == lifted.objective(dense)
+        assert lifted.spread_lifted == lifted.spread(dense)
+
+
+def test_lift_vectors_refuses_a_large_product_before_the_solution(k2):
+    # an infeasible solution on 2^11 vertices meets the vertex cap first
+    bad = bp.SdpSolution(vectors=np.array([[1.0], [-1.0]]))
+    with pytest.raises(bp.DenseCapError, match="limit 1024"):
+        bp.lift_vectors(bad, bp.cartesian_power(k2, 11))
 
 
 def test_triangle_cut_metric_clean(k2):
@@ -110,7 +133,7 @@ def test_triangle_preserved_by_lifting(p3, k2):
         prod = bp.cartesian_power(base, k)
         sol = bp.random_cut_combination(base, cuts=3, seed=11)
         assert bp.check_triangle(sol).count == 0
-        lifted = bp.lift_vectors(sol, prod, prod.to_weighted_graph())
+        lifted = bp.lift_vectors(sol, prod)
         rep = bp.check_triangle(lifted)
         assert rep.count == 0
         assert not rep.partial
@@ -553,6 +576,36 @@ def test_both_lifts_refuse_over_the_set_cap(k2):
     # level 0 holds the empty set alone, whatever the product
     ls = bp.lasserre_from_distribution(dist, 2, 0)
     assert list(bp.lift_lasserre(ls, bp.cartesian_power(k2, 15), 0).vectors) == [()]
+
+
+def _unbuilt(*args, **kwargs):
+    raise AssertionError("built what no check reads")
+
+
+def test_level_one_sa_lift_builds_no_gram_and_no_membership(monkeypatch, k2):
+    # singletons share no marginal and form no pair table
+    from boxprod import sdp
+
+    monkeypatch.setattr(sdp.SdpSolution, "gram", _unbuilt)
+    monkeypatch.setattr(sdp, "_membership", _unbuilt)
+    dist = bp.uniform_cut_distribution(2, (0,))
+    lifted, lifted_sol, marginal_gap, vector_gap = bp.lift_sherali_adams(
+        bp.sa_from_distribution(dist, 2, 1), bp.vectors_from_distribution(dist),
+        bp.cartesian_power(k2, 12))
+    assert (marginal_gap, vector_gap) == (0.0, 0.0)
+    assert len(lifted.tables) == lifted_sol.n == 2 ** 12
+
+
+@pytest.mark.parametrize("k", [15, 40])
+def test_level_zero_lasserre_lift_lists_no_vertex(monkeypatch, k2, k):
+    from boxprod import sdp
+
+    monkeypatch.setattr(sdp, "_product_vertices", _unbuilt)
+    ls = bp.lasserre_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 0)
+    lifted = bp.lift_lasserre(ls, bp.cartesian_power(k2, k), 0)
+    assert list(lifted.vectors) == [()]
+    want = np.concatenate([(1.0 / math.sqrt(k)) * ls.vectors[()]] * k)
+    assert lifted.vectors[()].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("lift", ["sa", "lasserre"])
