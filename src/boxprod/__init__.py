@@ -1,9 +1,8 @@
 """Influence, isoperimetry and SDP-lifting analysis on Cartesian powers
 of weighted graphs."""
 
-from .functions import (Decomposition, FunctionTable, check_l2_l1_bounds,
-                        dictator, efron_stein_check, from_values, parity,
-                        random_boolean)
+from .functions import (FunctionTable, dictator, efron_stein_check, from_values,
+                        parity, random_boolean)
 from .gadgets import (ConsecutiveOnesFunction, build_necklace, build_qary_cube,
                       consecutive_ones_function, influence_monte_carlo,
                       named_graph, probability_minus_one)
@@ -26,9 +25,9 @@ from .sdp import (LocalDistributions, SdpSolution, SetVectorSolution,
                   random_feasible_sdp, sa_from_distribution,
                   uniform_cut_distribution, vectors_from_distribution,
                   vectors_from_local_tables)
-from .spectral import (FourierCoefficients, SpectralBasis, decompose,
-                       dirichlet_form, directional_form, eigendecompose,
-                       fourier_transform, influence_profile, inverse_transform,
-                       product_eigenvalue)
+from .spectral import (Decomposition, FourierCoefficients, SpectralBasis,
+                       check_l2_l1_bounds, decompose, dirichlet_form,
+                       directional_form, eigendecompose, fourier_transform,
+                       influence_profile, inverse_transform, product_eigenvalue)
 
 __version__ = "0.1.0"

@@ -22,8 +22,10 @@ from .functions import (dictator, function_to_dict, load_function, parity,
                         random_boolean)
 from .gadgets import named_graph
 from .graphs import (CHECK_SLACK, DENSE_CAP, cartesian_power, complete_graph,
-                     graph_to_dict, load_graph, path_graph, read_json, write_json)
-from .influence import corollary_sweep, friedgut_extract, is_junta_on, kkl_report
+                     graph_to_dict, load_graph, path_graph, read_json,
+                     require_base_within, write_json)
+from .influence import (ConstantFunctionError, corollary_sweep, friedgut_extract,
+                        is_junta_on, kkl_report)
 from .isoperimetry import (CHAIN_REL_TOL, conductance_bruteforce,
                            log_sobolev_estimate, product_scaling_report)
 from .sdp import (basic_sdp_opt, check_triangle, lasserre_from_dict,
@@ -82,9 +84,10 @@ def _resolve_graph(args):
     if args.graph and args.builtin:
         raise UsageError("give either --graph or --builtin, not both")
     if args.graph:
-        return load_graph(args.graph)
-    name = args.builtin or "k2"
-    return named_graph(name)
+        graph = load_graph(args.graph)
+        require_base_within(graph.n, args.max_dense)
+        return graph
+    return named_graph(args.builtin or "k2", args.max_dense)
 
 
 def _resolve_function(args, product):
@@ -170,7 +173,7 @@ def cmd_kkl(args) -> dict:
     _, f, alpha, label = _influence_setup(args)
     try:
         rep = kkl_report(f, alpha)
-    except ValueError as exc:
+    except ConstantFunctionError as exc:
         return {"results": {"status": "error", "error": str(exc)},
                 "checks": [_check("influence_report", False, str(exc))]}
     sweep = []

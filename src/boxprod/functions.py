@@ -131,52 +131,6 @@ def random_boolean(product: ProductGraph, rng, balanced: bool = False) -> Functi
     return from_values(product, vals)
 
 
-# -- orthogonal coordinate decomposition -------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Split of f into a constant part plus one component per coordinate.
-
-    Component j collects the spectral multi-indices whose last nonzero
-    slot is j; the parts are pairwise orthogonal and their squared norms
-    sum to the variance of f.
-    """
-
-    constant: FunctionTable
-    parts: tuple
-
-    def reconstruct(self) -> np.ndarray:
-        total = self.constant.values.copy()
-        for part in self.parts:
-            total = total + part.values
-        return total
-
-
-def check_l2_l1_bounds(f: FunctionTable, dec: Decomposition):
-    """Per-coordinate norm bounds of the decomposition parts.
-
-    For Boolean f, both the squared 2-norm and the 1-norm of part j are
-    bounded by the coordinate-j variance.  Returns one row per
-    coordinate with the observed slack.
-    """
-    if not f.boolean_pm1:
-        raise ValueError("norm bounds require a {-1,+1}-valued function")
-    rows = []
-    for j, part in enumerate(dec.parts):
-        l2_sq = part.norm2_sq()
-        l1 = part.norm1()
-        vj = f.variance_along(j)
-        rows.append({
-            "j": j,
-            "l2_sq": l2_sq,
-            "l1": l1,
-            "var_j": vj,
-            "ok_l2": bool(l2_sq <= vj + CHECK_SLACK),
-            "ok_l1": bool(l1 <= vj + CHECK_SLACK),
-        })
-    return rows
-
-
 def efron_stein_check(f: FunctionTable):
     """Return (sum of coordinate variances, variance); the sum dominates."""
     lhs = sum(f.variance_along(j) for j in range(f.k))

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (ProductGraph, WeightedGraph, _from_arrays, cartesian_power,
-                     complete_graph, cycle_graph, path_graph)
+from .graphs import (DENSE_CAP, ProductGraph, WeightedGraph, _from_arrays,
+                     cartesian_power, complete_graph, cycle_graph, path_graph,
+                     require_base_within)
 
 NECKLACE_MAX_R = 20
 
@@ -44,6 +45,16 @@ def _rotation_classes(width: int):
     return canon, np.unique(canon[1:-1])
 
 
+def necklace_size(r: int) -> int:
+    """Vertex count of ``build_necklace(r)``: the binary necklaces of
+    length r (Burnside's count) less the two monochromatic strings."""
+    if r < 3:
+        raise ValueError("necklace needs r >= 3")
+    if r > NECKLACE_MAX_R:
+        raise ValueError(f"necklace limited to r <= {NECKLACE_MAX_R}")
+    return sum(2 ** math.gcd(i, r) for i in range(r)) // r - 2
+
+
 def build_necklace(r: int) -> WeightedGraph:
     """Quotient of the r-cube minus monochromatic strings by rotation.
 
@@ -52,12 +63,8 @@ def build_necklace(r: int) -> WeightedGraph:
     cube edges between the classes, and the vertex measure follows from
     consistency.
     """
-    if r < 3:
-        raise ValueError("necklace needs r >= 3")
-    if r > NECKLACE_MAX_R:
-        raise ValueError(f"necklace limited to r <= {NECKLACE_MAX_R}")
+    n_cls = necklace_size(r)
     canon, classes = _rotation_classes(r)
-    n_cls = len(classes)
     # cube edges along bit 0 whose ends both survive: (s, s + 1), s even.
     # A rotation carries the edges along any bit onto those along the next
     # without changing their classes, so every bit adds the same pair
@@ -172,17 +179,25 @@ def probability_minus_one(fn, graph: WeightedGraph, k: int,
 
 # -- builtin registry -------------------------------------------------------------
 
-def named_graph(spec: str) -> WeightedGraph:
-    """Builtin graphs: k2 | kq:<q> | cycle:<n> | path:<n> | necklace:<R>."""
+# family -> (vertex count from the parameter, constructor)
+_BUILTINS = {
+    "kq": (int, complete_graph),
+    "cycle": (int, cycle_graph),
+    "path": (int, path_graph),
+    "necklace": (necklace_size, build_necklace),
+}
+
+
+def named_graph(spec: str, max_dense: int = DENSE_CAP) -> WeightedGraph:
+    """Builtin graphs: k2 | kq:<q> | cycle:<n> | path:<n> | necklace:<R>.
+    One whose n x n Laplacian would pass ``max_dense`` entries is refused
+    before any edge is built."""
     name, _, arg = spec.partition(":")
     if name == "k2":
-        return complete_graph(2)
-    if name == "kq":
-        return complete_graph(int(arg))
-    if name == "cycle":
-        return cycle_graph(int(arg))
-    if name == "path":
-        return path_graph(int(arg))
-    if name == "necklace":
-        return build_necklace(int(arg))
-    raise ValueError(f"unknown builtin graph {spec!r}")
+        name, arg = "kq", "2"
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin graph {spec!r}")
+    size, build = _BUILTINS[name]
+    param = int(arg)
+    require_base_within(size(param), max_dense)
+    return build(param)

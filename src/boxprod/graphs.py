@@ -34,6 +34,14 @@ class DenseCapError(RuntimeError):
     """Raised when a dense operation would exceed the product-size cap."""
 
 
+def require_base_within(n: int, cap: int):
+    """Refuse a base graph whose n x n Laplacian would pass ``cap``
+    entries, before anything of that size is built."""
+    if n * n > cap:
+        raise DenseCapError(f"a base graph of {n} vertices exceeds the dense cap "
+                            f"{cap}: its Laplacian holds n^2 entries")
+
+
 def power_at_most(n: int, k: int, limit: int) -> bool:
     """``n ** k <= limit`` for a graph size ``n >= 2``, stopping once a
     partial power passes ``limit`` so that a huge ``k`` builds no huge
@@ -51,8 +59,9 @@ class WeightedGraph:
     """Connected undirected graph with normalized edge/vertex measures.
 
     Edges are stored as parallel arrays (``edge_u[i] < edge_v[i]``) with
-    masses ``edge_w`` summing to one.  The dense Laplacian is built
-    lazily so that large sampled-only graphs stay cheap.
+    masses ``edge_w`` summing to one.  The dense Laplacian and the
+    spectral basis are built lazily, once, so that large sampled-only
+    graphs stay cheap.
     """
 
     n: int
@@ -78,6 +87,12 @@ class WeightedGraph:
         lap[np.arange(self.n), np.arange(self.n)] = self.pi
         lap.setflags(write=False)
         return lap
+
+    @cached_property
+    def basis(self):
+        """The graph's ``spectral.SpectralBasis``, solved once."""
+        from . import spectral  # spectral imports this module
+        return spectral.eigendecompose(self)
 
     @cached_property
     def _edge_index(self) -> dict:

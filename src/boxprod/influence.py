@@ -19,10 +19,13 @@ import numpy as np
 from .functions import FunctionTable
 from .graphs import CHECK_SLACK
 from .spectral import (FourierCoefficients, decompose, dirichlet_form,
-                       eigendecompose, fourier_transform, influence_profile,
-                       inverse_transform)
+                       fourier_transform, influence_profile, inverse_transform)
 
 T_MAX = math.exp(-2.0)
+
+
+class ConstantFunctionError(ValueError):
+    """The influence report of a constant function is undefined."""
 
 
 def _entropy_rhs(alpha, k, t, l1, l2_sq):
@@ -67,7 +70,7 @@ def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float) -> list:
         _require_t(t)
     if not f.boolean_pm1:
         raise ValueError("corollary check requires a {-1,+1}-valued function")
-    dec = decompose(f, eigendecompose(f.product.base))
+    dec = decompose(f)
     terms = [(dirichlet_form(part), f.variance_along(j), part.norm2_sq())
              for j, part in enumerate(dec.parts)]
     sweep = []
@@ -114,7 +117,7 @@ def kkl_report(f: FunctionTable, alpha: float) -> InfluenceReport:
         raise ValueError("influence report needs k >= 2")
     var = f.variance()
     if var <= 0.0:
-        raise ValueError("constant function; influence report undefined")
+        raise ConstantFunctionError("constant function; influence report undefined")
     infl = influence_profile(f)
     max_inf = float(infl.max())
     mean_inf = float(infl.mean())
@@ -153,17 +156,16 @@ class JuntaResult:
         self.coordinate_variances.setflags(write=False)
 
 
-def _truncate_to_junta(f, basis, junta):
+def _truncate_to_junta(f, junta):
     """Project onto multi-indices supported inside the junta coordinates."""
-    coeffs = fourier_transform(f, basis)
+    coeffs = fourier_transform(f)
     keep = np.ones(f.product.shape, dtype=bool)
     grids = np.indices(f.product.shape)
     for j in range(f.k):
         if j not in junta:
             keep &= grids[j] == 0
     kept = np.where(keep, coeffs.coeffs, 0.0)
-    return inverse_transform(
-        FourierCoefficients(basis=basis, product=f.product, coeffs=kept))
+    return inverse_transform(FourierCoefficients(product=f.product, coeffs=kept))
 
 
 def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
@@ -180,7 +182,6 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
         raise ValueError("junta extraction requires a {-1,+1}-valued function")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    basis = eigendecompose(f.product.base)
     k = f.k
     var_j = np.array([f.variance_along(j) for j in range(k)])
     energy = dirichlet_form(f)
@@ -205,7 +206,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
     threshold = math.exp(f_of_eps)
     junta = tuple(sorted(int(j) for j in np.flatnonzero(var_j >= threshold)))
 
-    g_real = _truncate_to_junta(f, basis, set(junta))
+    g_real = _truncate_to_junta(f, set(junta))
     g_vals = np.where(g_real.values >= 0.0, 1.0, -1.0)
     g_tilde = f.with_values(g_vals)
 

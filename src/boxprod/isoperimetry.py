@@ -18,7 +18,6 @@ import numpy as np
 
 from .graphs import (CHECK_SLACK, ProductGraph, WeightedGraph, cartesian_power,
                      log0, power_at_most)
-from .spectral import eigendecompose
 
 BRUTE_FORCE_MAX_VERTICES = 25
 SCAN_SLACK = 1e-11
@@ -35,10 +34,17 @@ ENTROPY_FLOOR = 1e-11
 CHAIN_REL_TOL = 0.02
 
 
-def _as_graph(graph_or_product) -> WeightedGraph:
-    if isinstance(graph_or_product, ProductGraph):
-        return graph_or_product.to_weighted_graph(max_vertices=256)
-    return graph_or_product
+def _scannable(graph_or_product) -> WeightedGraph:
+    """The graph, a product materialized, once its vertices are known to
+    be few enough for the exhaustive scan."""
+    is_product = isinstance(graph_or_product, ProductGraph)
+    n, k = ((graph_or_product.base.n, graph_or_product.k) if is_product
+            else (graph_or_product.n, 1))
+    if not power_at_most(n, k, BRUTE_FORCE_MAX_VERTICES):
+        raise ValueError(
+            f"{f'n^k = {n}^{k}' if is_product else n} vertices is beyond exhaustive "
+            "enumeration; use conductance_functional on candidate cuts instead")
+    return graph_or_product.to_weighted_graph() if is_product else graph_or_product
 
 
 def _row_sums(values: np.ndarray, select: np.ndarray) -> np.ndarray:
@@ -186,12 +192,7 @@ def _lex_min(masks: np.ndarray) -> int:
 def conductance_bruteforce(graph_or_product):
     """Exact conductance with a witness set (lexicographically smallest
     among the minimizers).  Limited to 25 vertices."""
-    graph = _as_graph(graph_or_product)
-    if graph.n > BRUTE_FORCE_MAX_VERTICES:
-        raise ValueError(
-            f"{graph.n} vertices is beyond exhaustive enumeration; "
-            "use conductance_functional on candidate cuts instead"
-        )
+    graph = _scannable(graph_or_product)
     candidates = _subset_scan(graph)
     ratios = cut_ratios(graph, candidates)
     best = ratios.min()
@@ -287,8 +288,7 @@ def log_sobolev_estimate(graph: WeightedGraph, *,
             f"log-Sobolev estimation is limited to n <= {LS_MAX_VERTICES}")
     rng = np.random.default_rng(seed)
     n = graph.n
-    basis = eigendecompose(graph)
-    starts = [np.ones(n) + 0.1 * basis.eigenfunctions[:, 1]]
+    starts = [np.ones(n) + 0.1 * graph.basis.eigenfunctions[:, 1]]
     half = LS_RESTARTS // 2
     starts += [np.ones(n) + 0.2 * rng.standard_normal(n) for _ in range(half)]
     starts += [rng.standard_normal(n) for _ in range(LS_RESTARTS - half)]
@@ -344,10 +344,9 @@ def chain_check(graph_or_product, *, seed: int = 0) -> ChainReport:
     the first comparison to absorb estimator slack.  Both witnesses ride
     along: the conductance set reproduces phi and the log-Sobolev
     function reproduces alpha_hat."""
-    graph = _as_graph(graph_or_product)
+    graph = _scannable(graph_or_product)
     est = log_sobolev_estimate(graph, seed=seed)
-    lam1 = eigendecompose(graph).lambda1
-    return _chain_report(est, lam1, conductance_bruteforce(graph))
+    return _chain_report(est, graph.basis.lambda1, conductance_bruteforce(graph))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +396,7 @@ def product_scaling_report(base: WeightedGraph, k: int, *,
     report also carries the inequality chain built from them."""
     product = cartesian_power(base, k)  # refuses k < 1 before dividing by k
     base_scan, base_est = _exact_and_estimate(base, seed)
-    lam_base = eigendecompose(base).lambda1
+    lam_base = base.basis.lambda1
     # spectral averaging rule: the smallest nonzero mean of coordinate
     # eigenvalues is lambda_1 / k
     lam_product = lam_base / k
@@ -421,5 +420,5 @@ def product_scaling_report(base: WeightedGraph, k: int, *,
         chain_base=(None if base_scan is None
                     else _chain_report(base_est, lam_base, base_scan)),
         chain_product=(None if prod_scan is None else _chain_report(
-            prod_est, eigendecompose(dense).lambda1, prod_scan)),
+            prod_est, dense.basis.lambda1, prod_scan)),
     )

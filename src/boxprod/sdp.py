@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CHECK_SLACK, ProductGraph, WeightedGraph, power_at_most
-from .spectral import eigendecompose
 
 # tolerance of the moment-matrix factorization of level-2 tables
 FACTOR_TOL = 1e-7
@@ -81,9 +80,8 @@ def basic_sdp_opt(graph: WeightedGraph):
     Equals the spectral gap; the witness is the gap eigenfunction as a
     one-dimensional embedding scaled to unit spread.
     """
-    basis = eigendecompose(graph)
-    opt = basis.lambda1
-    vec = basis.eigenfunctions[:, 1].copy()
+    opt = graph.basis.lambda1
+    vec = graph.basis.eigenfunctions[:, 1].copy()
     sol = SdpSolution(vectors=(vec / math.sqrt(2.0))[:, None])
     if abs(sol.spread(graph) - 1.0) > CHECK_SLACK:
         raise AssertionError("witness embedding misses the spread constraint")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import Decomposition, FunctionTable, from_values
-from .graphs import ProductGraph, WeightedGraph
+from .functions import FunctionTable, from_values
+from .graphs import CHECK_SLACK, ProductGraph, WeightedGraph
 
 EIG_RESIDUAL_TOL = 1e-9
 
@@ -24,9 +24,9 @@ EIG_RESIDUAL_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Eigenvalues (ascending, first exactly 0) and pi-orthonormal
-    eigenfunctions (columns; first column all ones)."""
+    eigenfunctions (columns; first column all ones).  A graph holds its
+    own as ``WeightedGraph.basis``."""
 
-    graph: WeightedGraph
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
 
@@ -66,7 +66,7 @@ def eigendecompose(graph: WeightedGraph) -> SpectralBasis:
     worst = float(np.abs(residual).max())
     if worst > EIG_RESIDUAL_TOL:
         raise RuntimeError(f"eigensolver residual {worst} above tolerance")
-    return SpectralBasis(graph=graph, eigenvalues=evals, eigenfunctions=funcs)
+    return SpectralBasis(eigenvalues=evals, eigenfunctions=funcs)
 
 
 def product_eigenvalue(basis: SpectralBasis, idx) -> float:
@@ -77,9 +77,9 @@ def product_eigenvalue(basis: SpectralBasis, idx) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FourierCoefficients:
-    """Dense coefficient tensor indexed by spectral multi-indices."""
+    """Dense coefficient tensor indexed by spectral multi-indices of the
+    base graph's basis."""
 
-    basis: SpectralBasis
     product: ProductGraph
     coeffs: np.ndarray
 
@@ -92,7 +92,7 @@ class FourierCoefficients:
 
     def multi_eigenvalues(self) -> np.ndarray:
         """Tensor of product eigenvalues aligned with the coefficients."""
-        lam = self.basis.eigenvalues
+        lam = self.product.base.basis.eigenvalues
         out = np.zeros(self.product.shape)
         for ax in range(self.product.k):
             shape = [1] * self.product.k
@@ -107,16 +107,18 @@ def _mode_apply(mat: np.ndarray, tensor: np.ndarray, k: int) -> np.ndarray:
     return tensor
 
 
-def fourier_transform(f: FunctionTable, basis: SpectralBasis) -> FourierCoefficients:
+def fourier_transform(f: FunctionTable) -> FourierCoefficients:
     """Coefficients of f against the tensor eigenbasis."""
     f.product.require_dense()
-    analysis = basis.eigenfunctions.T * basis.graph.pi[None, :]
+    base = f.product.base
+    analysis = base.basis.eigenfunctions.T * base.pi[None, :]
     coeffs = _mode_apply(analysis, f.as_tensor(), f.k)
-    return FourierCoefficients(basis=basis, product=f.product, coeffs=coeffs)
+    return FourierCoefficients(product=f.product, coeffs=coeffs)
 
 
 def inverse_transform(coeffs: FourierCoefficients) -> FunctionTable:
-    tensor = _mode_apply(coeffs.basis.eigenfunctions, np.array(coeffs.coeffs), coeffs.product.k)
+    tensor = _mode_apply(coeffs.product.base.basis.eigenfunctions,
+                         np.array(coeffs.coeffs), coeffs.product.k)
     return from_values(coeffs.product, tensor.reshape(-1))
 
 
@@ -160,22 +162,64 @@ def _component_masks(shape):
     return masks
 
 
-def decompose(f: FunctionTable, basis: SpectralBasis) -> Decomposition:
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """Split of f into a constant part plus one component per coordinate.
+
+    Component j collects the spectral multi-indices whose last nonzero
+    slot is j; the parts are pairwise orthogonal and their squared norms
+    sum to the variance of f.
+    """
+
+    constant: FunctionTable
+    parts: tuple
+
+    def reconstruct(self) -> np.ndarray:
+        total = self.constant.values.copy()
+        for part in self.parts:
+            total = total + part.values
+        return total
+
+
+def decompose(f: FunctionTable) -> Decomposition:
     """Orthogonal split of f into per-coordinate components.
 
     Component j keeps the multi-indices whose last nonzero slot is j; the
     constant part carries the mean.
     """
-    coeffs = fourier_transform(f, basis)
+    coeffs = fourier_transform(f)
     masks = _component_masks(f.product.shape)
     parts = []
     for j in range(f.k):
         cj = np.where(masks[j], coeffs.coeffs, 0.0)
-        part = inverse_transform(
-            FourierCoefficients(basis=basis, product=f.product, coeffs=cj))
-        parts.append(part)
+        parts.append(inverse_transform(FourierCoefficients(product=f.product, coeffs=cj)))
     # the constant eigenfunction is exactly 1, so its inverse transform
     # is the coefficient itself
     constant = from_values(f.product, np.full(f.product.num_vertices,
                                               coeffs.coeffs[(0,) * f.k]))
     return Decomposition(constant=constant, parts=tuple(parts))
+
+
+def check_l2_l1_bounds(f: FunctionTable):
+    """Per-coordinate norm bounds of the parts of ``decompose(f)``.
+
+    For Boolean f, both the squared 2-norm and the 1-norm of part j are
+    bounded by the coordinate-j variance.  Returns one row per
+    coordinate with the observed slack.
+    """
+    if not f.boolean_pm1:
+        raise ValueError("norm bounds require a {-1,+1}-valued function")
+    rows = []
+    for j, part in enumerate(decompose(f).parts):
+        l2_sq = part.norm2_sq()
+        l1 = part.norm1()
+        vj = f.variance_along(j)
+        rows.append({
+            "j": j,
+            "l2_sq": l2_sq,
+            "l1": l1,
+            "var_j": vj,
+            "ok_l2": bool(l2_sq <= vj + CHECK_SLACK),
+            "ok_l1": bool(l1 <= vj + CHECK_SLACK),
+        })
+    return rows

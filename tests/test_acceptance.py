@@ -89,10 +89,9 @@ def test_criterion_04_lemma_suite():
     total = 0
     for base, k, alpha in setups:
         prod = bp.cartesian_power(base, k)
-        basis = bp.eigendecompose(base)
         for _ in range(60):
             f = bp.random_boolean(prod, rng)
-            dec = bp.decompose(f, basis)
+            dec = bp.decompose(f)
             total += 1
             var = f.variance()
             parts_norm = sum(p.norm2_sq() for p in dec.parts)

@@ -452,3 +452,101 @@ def test_sdp_lift_checks_the_sdp_file_before_the_vertex_cap(k, monkeypatch, caps
     assert (code, captured.out) == (1, "")
     assert captured.err == ("error: SDP file has 5 vectors for the 2 vertices "
                             "of the base graph\n")
+
+
+def _count_solves(monkeypatch):
+    """Graph sizes of the eigendecompose calls, under every name a boxprod
+    module binds it by."""
+    import sys
+
+    from boxprod import spectral
+
+    original = spectral.eigendecompose
+    solved = []
+
+    def counted(graph):
+        solved.append(graph.n)
+        return original(graph)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "boxprod"
+                and getattr(module, "eigendecompose", None) is original):
+            monkeypatch.setattr(module, "eigendecompose", counted)
+    return solved
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["isoperimetry", "--builtin", "kq:3", "--k", "2"], [3, 9]),
+    (["kkl", "--builtin", "kq:3", "--k", "2"], [3]),
+    (["friedgut", "--builtin", "kq:3", "--k", "3"], [3]),
+], ids=["isoperimetry", "kkl", "friedgut"])
+def test_one_eigen_solve_per_graph(argv, solves, monkeypatch, capsys):
+    # the descent, lambda_1, the chain and the transforms of a graph share
+    # its one basis; the product materialized by isoperimetry has its own
+    solved = _count_solves(monkeypatch)
+    code = run(argv)
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(solved) == solves
+
+
+def _base_cap_message(n, cap=1 << 22):
+    return (f"error: a base graph of {n} vertices exceeds the dense cap {cap}: "
+            "its Laplacian holds n^2 entries\n")
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["isoperimetry", "--builtin", "cycle:20000"], 20000),
+    (["sdp-lift", "--builtin", "path:20000", "--k", "1"], 20000),
+    (["kkl", "--builtin", "kq:3000", "--k", "1"], 3000),
+    (["isoperimetry", "--builtin", "kq:100000", "--k", "1"], 100000),
+    (["friedgut", "--builtin", "necklace:20", "--k", "1"], 52486),
+], ids=["isoperimetry-cycle", "sdp-lift-path", "kkl-kq", "isoperimetry-kq",
+        "friedgut-necklace"])
+def test_base_over_the_dense_cap_refused_before_building(argv, n, capsys):
+    # the n x n Laplacian is counted against --max-dense before any edge
+    # is built
+    started = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", _base_cap_message(n))
+    assert elapsed < 1.0
+
+
+def test_graph_file_over_the_dense_cap_refused_after_loading(tmp_path, monkeypatch,
+                                                             capsys):
+    def unbuilt(self):
+        raise AssertionError("Laplacian built")
+
+    monkeypatch.setattr(bp.WeightedGraph, "laplacian", property(unbuilt))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 2049,
+                                "edges": [[v, v + 1, 1.0] for v in range(2048)]}))
+    code = run(["isoperimetry", "--graph", str(path), "--k", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", _base_cap_message(2049))
+
+
+def test_max_dense_caps_the_base(capsys):
+    argv = ["isoperimetry", "--builtin", "kq:3", "--k", "1"]
+    code = run(argv + ["--max-dense", "8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", _base_cap_message(3, 8))
+    assert run_capture(argv + ["--max-dense", "9"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kkl", "--builtin", "k2", "--k", "1"], "influence report needs k >= 2"),
+    (["kkl", "--builtin", "k2", "--k", "2", "--function", "half.json"],
+     "influence report requires a {-1,+1}-valued function"),
+    (["friedgut", "--builtin", "k2", "--k", "2", "--function", "half.json"],
+     "junta extraction requires a {-1,+1}-valued function"),
+], ids=["kkl-k1", "kkl-non-boolean", "friedgut-non-boolean"])
+def test_influence_input_errors_exit_one(argv, message, tmp_path, monkeypatch, capsys):
+    # only a constant function is a failed influence_report check (exit 2)
+    monkeypatch.chdir(tmp_path)
+    Path("half.json").write_text(json.dumps({"k": 2, "values": [0.5, 1.0, -1.0, 1.0]}))
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")

@@ -72,27 +72,24 @@ def test_entropy_scaling_identity(k3):
 
 def test_decompose_dictator(k2):
     prod = bp.cartesian_power(k2, 2)
-    basis = bp.eigendecompose(k2)
     f = bp.dictator(prod, 0)
-    dec = bp.decompose(f, basis)
+    dec = bp.decompose(f)
     assert np.allclose(dec.parts[0].values, f.values, atol=1e-12)
     assert np.allclose(dec.parts[1].values, 0.0, atol=1e-12)
 
 
 def test_decompose_parity_lands_in_last_slot(k2):
     prod = bp.cartesian_power(k2, 2)
-    basis = bp.eigendecompose(k2)
     f = bp.parity(prod)
-    dec = bp.decompose(f, basis)
+    dec = bp.decompose(f)
     assert np.allclose(dec.parts[0].values, 0.0, atol=1e-12)
     assert np.allclose(dec.parts[1].values, f.values, atol=1e-12)
 
 
 def test_decompose_constant(k3):
     prod = bp.cartesian_power(k3, 2)
-    basis = bp.eigendecompose(k3)
     f = bp.from_values(prod, np.full(9, -1.0))
-    dec = bp.decompose(f, basis)
+    dec = bp.decompose(f)
     for part in dec.parts:
         assert np.allclose(part.values, 0.0, atol=1e-12)
     assert np.allclose(dec.constant.values, -1.0, atol=1e-12)
@@ -100,10 +97,9 @@ def test_decompose_constant(k3):
 
 def test_decompose_matches_dense_oracle(k3):
     prod = bp.cartesian_power(k3, 3)
-    basis = bp.eigendecompose(k3)
     rng = np.random.default_rng(3)
     f = bp.from_values(prod, rng.standard_normal(27))
-    dec = bp.decompose(f, basis)
+    dec = bp.decompose(f)
     for j in range(3):
         oracle = naive_component(f, j)
         assert np.allclose(dec.parts[j].values, oracle, atol=1e-9)
@@ -111,11 +107,10 @@ def test_decompose_matches_dense_oracle(k3):
 
 def test_decompose_invariants_random_boolean(k3):
     prod = bp.cartesian_power(k3, 2)
-    basis = bp.eigendecompose(k3)
     rng = np.random.default_rng(4)
     for _ in range(30):
         f = bp.random_boolean(prod, rng)
-        dec = bp.decompose(f, basis)
+        dec = bp.decompose(f)
         total = sum(part.norm2_sq() for part in dec.parts)
         assert math.isclose(total, f.variance(), abs_tol=1e-9)
         for a in range(2):
@@ -127,19 +122,17 @@ def test_decompose_invariants_random_boolean(k3):
 
 def test_l2_l1_bounds_dictator(k2):
     prod = bp.cartesian_power(k2, 2)
-    basis = bp.eigendecompose(k2)
     f = bp.dictator(prod, 0)
-    rows = bp.check_l2_l1_bounds(f, bp.decompose(f, basis))
+    rows = bp.check_l2_l1_bounds(f)
     assert rows[0]["ok_l2"] and rows[0]["ok_l1"]
     assert math.isclose(rows[0]["l2_sq"], rows[0]["var_j"], abs_tol=1e-12)
 
 
 def test_l2_l1_bounds_requires_boolean(k2):
     prod = bp.cartesian_power(k2, 2)
-    basis = bp.eigendecompose(k2)
     f = bp.from_values(prod, [0.5, 1.0, -1.0, 0.25])
     with pytest.raises(ValueError):
-        bp.check_l2_l1_bounds(f, bp.decompose(f, basis))
+        bp.check_l2_l1_bounds(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,8 +144,7 @@ def test_l2_l1_bounds_random_boolean(bits, kk):
     size = 3 ** kk
     vals = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(size)])
     f = bp.from_values(prod, vals)
-    basis = bp.eigendecompose(base)
-    rows = bp.check_l2_l1_bounds(f, bp.decompose(f, basis))
+    rows = bp.check_l2_l1_bounds(f)
     assert all(r["ok_l2"] and r["ok_l1"] for r in rows)
 
 

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import boxprod as bp
+from boxprod import gadgets
+from boxprod.gadgets import necklace_size
+from boxprod.graphs import DenseCapError
 
 
 def orbit_count(r):
@@ -140,3 +143,25 @@ def test_named_graph_builtins():
     assert bp.named_graph("necklace:4").n == 4
     with pytest.raises(ValueError):
         bp.named_graph("torus:3")
+
+
+def test_necklace_size_counts_the_classes():
+    for r in range(3, 13):
+        assert necklace_size(r) == orbit_count(r) == bp.build_necklace(r).n
+    assert necklace_size(20) == 52486
+
+
+def test_named_graph_refuses_a_base_over_the_cap_before_building(monkeypatch):
+    # n^2 Laplacian entries against the cap: n <= 2,048 under 2^22
+    assert bp.named_graph("path:2048").n == 2048
+    with pytest.raises(DenseCapError, match="a base graph of 2049 vertices"):
+        bp.named_graph("path:2049")
+    with pytest.raises(DenseCapError, match="a base graph of 3 vertices"):
+        bp.named_graph("kq:3", max_dense=8)
+
+    def unbuilt(width):
+        raise AssertionError("necklace classes built")
+
+    monkeypatch.setattr(gadgets, "_rotation_classes", unbuilt)
+    with pytest.raises(DenseCapError, match="a base graph of 52486 vertices"):
+        bp.named_graph("necklace:20")

@@ -27,8 +27,7 @@ def test_lemma_zero_function(k2):
 def test_lemma_dictator_component(k2):
     # hand-evaluated: lhs = 1, rhs = -(1 + 1/e)
     prod = bp.cartesian_power(k2, 2)
-    basis = bp.eigendecompose(k2)
-    dec = bp.decompose(bp.dictator(prod, 0), basis)
+    dec = bp.decompose(bp.dictator(prod, 0))
     chk = bp.main_lemma_check(dec.parts[0], T_MAX, 2.0)
     assert math.isclose(chk.lhs, 1.0, abs_tol=1e-9)
     assert math.isclose(chk.rhs, -(1.0 + 1.0 / math.e), abs_tol=1e-9)
@@ -72,10 +71,10 @@ def test_corollary_random_sweep(k2):
             assert all(r.ok for r in rows)
 
 
-def _reference_rows(f, t, alpha, basis):
+def _reference_rows(f, t, alpha):
     """Rows for one t, every term computed afresh from a new decomposition."""
     rows = []
-    for j, part in enumerate(bp.decompose(f, basis).parts):
+    for j, part in enumerate(bp.decompose(f).parts):
         lhs = bp.dirichlet_form(part)
         rhs = _entropy_rhs(alpha, f.k, t, f.variance_along(j), part.norm2_sq())
         rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - CHECK_SLACK)))
@@ -86,7 +85,6 @@ def test_corollary_sweep_matches_fresh_decompositions(k2, k3):
     rng = np.random.default_rng(17)
     for g, k, alpha in ((k2, 5, 2.0), (k3, 3, 1.3)):
         prod = bp.cartesian_power(g, k)
-        basis = bp.eigendecompose(g)
         for _ in range(4):
             f = bp.random_boolean(prod, rng)
             sweep = bp.corollary_sweep(f, T_SWEEP, alpha)
@@ -94,7 +92,7 @@ def test_corollary_sweep_matches_fresh_decompositions(k2, k3):
             for t, rows in zip(T_SWEEP, sweep):
                 fresh = bp.corollary_check(f, t, alpha)
                 assert rows == fresh
-                assert rows == _reference_rows(f, t, alpha, basis)
+                assert rows == _reference_rows(f, t, alpha)
 
 
 def test_corollary_sweep_rejects_any_bad_t(k2):
@@ -234,12 +232,11 @@ def test_off_junta_energy_is_the_energy_of_f_minus_g_real(k2, k3, p3):
     rng = np.random.default_rng(11)
     for g, k in ((k3, 3), (p3, 3), (k2, 5), (weighted, 3)):
         prod = bp.cartesian_power(g, k)
-        basis = bp.eigendecompose(g)
         for size in (0, 1, k - 1, k):
             f = bp.random_boolean(prod, rng)
             junta = [int(j) for j in rng.permutation(k)[:size]]
             order = junta + [int(j) for j in rng.permutation(k) if j not in junta]
-            real_diff = f.values - _truncate_to_junta(f, basis, set(junta)).values
+            real_diff = f.values - _truncate_to_junta(f, set(junta)).values
             total, energy = _off_junta_oracle(f, junta, order)
             assert np.allclose(total, real_diff, atol=1e-12)
             assert math.isclose(bp.dirichlet_form(f.with_values(real_diff)), energy,

@@ -1,5 +1,6 @@
 """Conductance, log-Sobolev estimation and the inequality chain."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 import boxprod as bp
 from boxprod import isoperimetry as iso
 from conftest import naive_conductance
+from descent_reference import (DATA, REFERENCE_GRAPHS, SAVED, SEEDS, reference_descend,
+                               reference_estimate, reference_starts)
 
 
 def test_phi_k2(k2):
@@ -43,10 +46,28 @@ def test_phi_k2_square(k2):
     assert witness == (0, 1)
 
 
-def test_phi_refuses_large_graphs(k2):
-    prod = bp.cartesian_power(k2, 6)
-    with pytest.raises(ValueError, match="enumeration"):
-        bp.conductance_bruteforce(prod)
+def test_phi_refuses_large_graphs(k2, c5, monkeypatch):
+    # refused before the product is materialized
+    def unbuilt(self, *args, **kwargs):
+        raise AssertionError("product materialized")
+
+    monkeypatch.setattr(bp.ProductGraph, "to_weighted_graph", unbuilt)
+    for k in (6, 9, 12):
+        with pytest.raises(ValueError, match="enumeration"):
+            bp.conductance_bruteforce(bp.cartesian_power(k2, k))
+    monkeypatch.undo()
+    # the 25 vertices of C5^2 are still scanned
+    assert iso._scannable(bp.cartesian_power(c5, 2)).n == 25
+
+
+def test_chain_check_refuses_a_large_graph_before_the_descent(k3, monkeypatch):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("descent ran")
+
+    monkeypatch.setattr(iso, "log_sobolev_estimate", no_descent)
+    for g in (bp.cartesian_power(k3, 4), bp.cycle_graph(30)):
+        with pytest.raises(ValueError, match="enumeration"):
+            bp.chain_check(g)
 
 
 def test_functional_form_k2(k2):
@@ -185,123 +206,30 @@ def test_phi_product_scaling_family(k2, k3, p3):
 
 # -- lockstep descent against the one-start-at-a-time reference -----------------
 
-def _reference_energy(graph, f):
-    d = f[graph.edge_u] - f[graph.edge_v]
-    return 0.5 * float(np.sum(graph.edge_w * d * d))
-
-
-def _reference_entropy(pi, f):
-    f2 = f * f
-    n2 = float(np.sum(pi * f2))
-    if n2 <= 0.0:
-        return 0.0
-    log_f2 = np.zeros_like(f2)
-    pos = f2 > 0.0
-    log_f2[pos] = np.log(f2[pos])
-    return float(np.sum(pi * f2 * log_f2)) - n2 * np.log(n2)
-
-
-def _reference_descend(graph, f0):
-    """The descent of one start, as the estimator ran each start before
-    its starts advanced in lockstep."""
-    pi = graph.pi
-    f = f0 / math.sqrt(float(pi @ (f0 * f0)))
-    energy, ent = _reference_energy(graph, f), _reference_entropy(pi, f)
-    if ent < iso.ENTROPY_FLOOR:
-        return math.inf, f
-    ratio = 2.0 * energy / ent
-    lap = graph.laplacian
-    step = 0.1
-    for _ in range(iso.LS_MAX_ITERS):
-        f2 = f * f
-        log_f2 = np.zeros_like(f2)
-        log_f2[f2 > 0.0] = np.log(f2[f2 > 0.0])
-        grad_energy = 2.0 * (lap @ f)
-        grad_ent = 2.0 * pi * f * (log_f2 - math.log(float(pi @ f2)))
-        grad = (2.0 * grad_energy * ent - 2.0 * energy * grad_ent) / (ent * ent)
-        accepted = False
-        for _ in range(60):
-            cand = f - step * grad
-            cand = cand / math.sqrt(float(pi @ (cand * cand)))
-            c_energy, c_ent = _reference_energy(graph, cand), _reference_entropy(pi, cand)
-            if c_ent >= iso.ENTROPY_FLOOR and 2.0 * c_energy / c_ent < ratio - 1e-18:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        new_ratio = 2.0 * c_energy / c_ent
-        rel = (ratio - new_ratio) / max(abs(ratio), 1e-30)
-        f, ratio, energy, ent = cand, new_ratio, c_energy, c_ent
-        step *= 1.25
-        if rel < iso.LS_TOL:
-            break
-    return ratio, f
-
-
-def _reference_starts(graph, seed):
-    rng = np.random.default_rng(seed)
-    n = graph.n
-    starts = [np.ones(n) + 0.1 * bp.eigendecompose(graph).eigenfunctions[:, 1]]
-    half = iso.LS_RESTARTS // 2
-    starts += [np.ones(n) + 0.2 * rng.standard_normal(n) for _ in range(half)]
-    starts += [rng.standard_normal(n) for _ in range(iso.LS_RESTARTS - half)]
-    return starts
-
-
-def _reference_estimate(graph, seed):
-    """Best ratio, witness and start count of the starts run one at a time."""
-    starts = _reference_starts(graph, seed)
-    best, witness = math.inf, None
-    for f0 in starts:
-        ratio, f = _reference_descend(graph, f0)
-        if ratio < best:
-            best, witness = ratio, f
-    return best, witness, len(starts)
+SAVED_RESULTS = json.loads(DATA.read_text())
 
 
 def _assert_matches_reference(graph, seed):
     est = bp.log_sobolev_estimate(graph, seed=seed)
-    best, witness, restarts = _reference_estimate(graph, seed)
+    best, witness, restarts = reference_estimate(graph, seed)
     assert float.hex(float(est.alpha_hat)) == float.hex(best)
     assert est.witness.tobytes() == witness.tobytes()
     assert est.restarts == restarts
 
 
-def _random_weighted(n, seed):
-    rng = np.random.default_rng(seed)
-    edges = [(v, v + 1, 1.0) for v in range(n - 1)]
-    edges += [(u, v, float(rng.uniform(0.1, 3.0)))
-              for u in range(n) for v in range(u + 2, n) if rng.random() < 0.4]
-    return bp.build_graph(n, edges)
-
-
-def _power(g, k):
-    return bp.cartesian_power(g, k).to_weighted_graph()
-
-
-REFERENCE_GRAPHS = {
-    "K2": lambda: bp.complete_graph(2),
-    "K3": lambda: bp.complete_graph(3),
-    "K5": lambda: bp.complete_graph(5),
-    "K5-e": lambda: bp.build_graph(5, [(u, v, 1.0) for u in range(5)
-                                       for v in range(u + 1, 5) if (u, v) != (0, 1)]),
-    "K2^2": lambda: _power(bp.complete_graph(2), 2),
-    "K3^2": lambda: _power(bp.complete_graph(3), 2),
-    "K4^2": lambda: _power(bp.complete_graph(4), 2),
-    "C5": lambda: bp.cycle_graph(5),
-    "P3^2": lambda: _power(bp.path_graph(3), 2),
-    "necklace:5": lambda: bp.build_necklace(5),
-    "random6": lambda: _random_weighted(6, 11),
-    "random9": lambda: _random_weighted(9, 12),
-}
-
-
 @pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
 def test_lockstep_descent_matches_reference_bits(name):
+    # the slow cases compare with the reference's saved results
     graph = REFERENCE_GRAPHS[name]()
-    for seed in (0, 1):
-        _assert_matches_reference(graph, seed)
+    for seed in SEEDS:
+        if name not in SAVED:
+            _assert_matches_reference(graph, seed)
+            continue
+        saved = SAVED_RESULTS[name][str(seed)]
+        est = bp.log_sobolev_estimate(graph, seed=seed)
+        assert float.hex(float(est.alpha_hat)) == saved["alpha_hat"]
+        assert est.witness.tobytes().hex() == saved["witness"]
+        assert est.restarts == saved["restarts"]
 
 
 @pytest.mark.parametrize("max_iters", [1, 7])
@@ -315,12 +243,12 @@ def test_lockstep_descent_matches_reference_at_iteration_cap(monkeypatch, max_it
 def test_entropy_degenerate_start_leaves_other_rows_running():
     # a constant start has zero entropy; the rows around it descend on
     graph = REFERENCE_GRAPHS["random6"]()
-    starts = _reference_starts(graph, 2)
+    starts = reference_starts(graph, 2)
     starts[3] = np.full(graph.n, 0.7)
     ratios, rows = iso._lockstep_descent(graph, np.array(starts))
     assert ratios[3] == math.inf
     for i, f0 in enumerate(starts):
-        ratio, f = _reference_descend(graph, f0)
+        ratio, f = reference_descend(graph, f0)
         assert float.hex(float(ratios[i])) == float.hex(ratio)
         assert rows[i].tobytes() == f.tobytes()
     assert np.isfinite(np.delete(ratios, 3)).all()

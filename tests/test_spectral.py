@@ -15,6 +15,18 @@ def test_k2_eigenpairs(k2):
     assert np.allclose(basis.eigenfunctions[:, 1], [1.0, -1.0])
 
 
+def test_basis_is_solved_once_per_graph():
+    g = bp.cycle_graph(5)
+    assert g.basis is g.basis
+    fresh = bp.eigendecompose(g)
+    for name in ("eigenvalues", "eigenfunctions"):
+        cached = getattr(g.basis, name)
+        assert not cached.flags.writeable
+        assert cached.tobytes() == getattr(fresh, name).tobytes()
+    with pytest.raises(ValueError):
+        g.basis.eigenvalues[0] = 1.0
+
+
 def test_k3_eigenvalues(k3):
     basis = bp.eigendecompose(k3)
     assert np.allclose(basis.eigenvalues, [0.0, 1.5, 1.5])
@@ -43,8 +55,7 @@ def test_product_eigenvalue_averages(k2):
 
 def test_dictator_fourier_support(k2):
     prod = bp.cartesian_power(k2, 2)
-    basis = bp.eigendecompose(k2)
-    coeffs = bp.fourier_transform(bp.dictator(prod, 0), basis).coeffs
+    coeffs = bp.fourier_transform(bp.dictator(prod, 0)).coeffs
     expected = np.zeros((2, 2))
     expected[1, 0] = 1.0
     assert np.allclose(coeffs, expected, atol=1e-12)
@@ -52,8 +63,7 @@ def test_dictator_fourier_support(k2):
 
 def test_parity_fourier_support(k2):
     prod = bp.cartesian_power(k2, 2)
-    basis = bp.eigendecompose(k2)
-    coeffs = bp.fourier_transform(bp.parity(prod), basis).coeffs
+    coeffs = bp.fourier_transform(bp.parity(prod)).coeffs
     expected = np.zeros((2, 2))
     expected[1, 1] = 1.0
     assert np.allclose(coeffs, expected, atol=1e-12)
@@ -61,20 +71,18 @@ def test_parity_fourier_support(k2):
 
 def test_constant_fourier_support(k3):
     prod = bp.cartesian_power(k3, 2)
-    basis = bp.eigendecompose(k3)
     f = bp.from_values(prod, np.ones(9))
-    coeffs = bp.fourier_transform(f, basis).coeffs
+    coeffs = bp.fourier_transform(f).coeffs
     assert math.isclose(coeffs[0, 0], 1.0, abs_tol=1e-12)
     assert np.abs(coeffs).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transform_roundtrip_and_parseval(k3):
     prod = bp.cartesian_power(k3, 2)
-    basis = bp.eigendecompose(k3)
     rng = np.random.default_rng(1)
     for _ in range(10):
         f = bp.from_values(prod, rng.standard_normal(9))
-        coeffs = bp.fourier_transform(f, basis)
+        coeffs = bp.fourier_transform(f)
         back = bp.inverse_transform(coeffs)
         assert np.allclose(back.values, f.values, atol=1e-9)
         assert math.isclose(coeffs.energy(), f.norm2_sq(), abs_tol=1e-9)
@@ -123,11 +131,10 @@ def test_average_of_directional_is_dirichlet(k3):
 
 def test_spectral_identity_random_functions(p3):
     prod = bp.cartesian_power(p3, 2)
-    basis = bp.eigendecompose(p3)
     rng = np.random.default_rng(4)
     for _ in range(10):
         f = bp.from_values(prod, rng.standard_normal(9))
-        coeffs = bp.fourier_transform(f, basis)
+        coeffs = bp.fourier_transform(f)
         spectral = float(np.sum(coeffs.coeffs ** 2 * coeffs.multi_eigenvalues()))
         assert math.isclose(spectral, bp.dirichlet_form(f), abs_tol=1e-9)
 
