@@ -25,7 +25,8 @@ from .graphs import (CHECK_SLACK, DENSE_CAP, cartesian_power, complete_graph,
                      graph_to_dict, load_graph, path_graph, read_json,
                      require_base_within, write_json)
 from .influence import (ConstantFunctionError, corollary_sweep, friedgut_extract,
-                        is_junta_on, kkl_report)
+                        is_junta_on, kkl_report, require_junta_input,
+                        require_kkl_input)
 from .isoperimetry import (CHAIN_REL_TOL, conductance_bruteforce,
                            log_sobolev_estimate, product_scaling_report)
 from .sdp import (basic_sdp_opt, check_triangle, lasserre_from_dict,
@@ -112,11 +113,13 @@ def _config_dict(args) -> dict:
     return {key: getattr(args, key, None) for key in keys}
 
 
-def _influence_setup(args):
+def _influence_setup(args, require):
     """Base graph, function on its k-th power, and the log-Sobolev constant
-    with its label: exact for the single-edge base, otherwise an estimate."""
+    with its label: exact for the single-edge base, otherwise an estimate.
+    ``require(f)`` refuses bad input before the descent runs."""
     base = _resolve_graph(args)
     f = _resolve_function(args, cartesian_power(base, args.k, dense_cap=args.max_dense))
+    require(f)
     if base.n == 2 and base.num_edges == 1:
         return base, f, 2.0, "certified"
     return base, f, log_sobolev_estimate(base, seed=args.seed).alpha_hat, "estimated"
@@ -135,7 +138,8 @@ def _check(name, passed, detail):
 
 def cmd_isoperimetry(args) -> dict:
     base = _resolve_graph(args)
-    rep = product_scaling_report(base, args.k, seed=args.seed)
+    rep = product_scaling_report(
+        cartesian_power(base, args.k, dense_cap=args.max_dense), seed=args.seed)
     checks = []
     if rep.phi_ratio is not None:
         checks.append(_check(
@@ -170,7 +174,7 @@ def cmd_isoperimetry(args) -> dict:
 
 
 def cmd_kkl(args) -> dict:
-    _, f, alpha, label = _influence_setup(args)
+    _, f, alpha, label = _influence_setup(args, require_kkl_input)
     try:
         rep = kkl_report(f, alpha)
     except ConstantFunctionError as exc:
@@ -204,7 +208,8 @@ def cmd_kkl(args) -> dict:
 
 
 def cmd_friedgut(args) -> dict:
-    base, f, alpha, label = _influence_setup(args)
+    base, f, alpha, label = _influence_setup(
+        args, lambda f: require_junta_input(f, args.epsilon))
     phi, _ = conductance_bruteforce(base)
     res = friedgut_extract(f, args.epsilon, alpha, phi)
     checks = [

@@ -9,6 +9,7 @@ the coordinate centering operator), and entropy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class FunctionTable:
     def k(self) -> int:
         return self.product.k
 
-    @property
+    @cached_property  # the values are read-only
     def boolean_pm1(self) -> bool:
         return bool(np.all(np.abs(np.abs(self.values) - 1.0) < BOOL_TOL))
 

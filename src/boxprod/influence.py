@@ -108,13 +108,18 @@ class InfluenceReport:
         self.influences.setflags(write=False)
 
 
-def kkl_report(f: FunctionTable, alpha: float) -> InfluenceReport:
-    """Influence profile of f plus the ratio of its max influence to
-    ``alpha * var(f) * log(k) / k``."""
+def require_kkl_input(f: FunctionTable):
+    """The refusals of ``kkl_report`` that need no alpha."""
     if not f.boolean_pm1:
         raise ValueError("influence report requires a {-1,+1}-valued function")
     if f.k < 2:
         raise ValueError("influence report needs k >= 2")
+
+
+def kkl_report(f: FunctionTable, alpha: float) -> InfluenceReport:
+    """Influence profile of f plus the ratio of its max influence to
+    ``alpha * var(f) * log(k) / k``."""
+    require_kkl_input(f)
     var = f.variance()
     if var <= 0.0:
         raise ConstantFunctionError("constant function; influence report undefined")
@@ -168,6 +173,14 @@ def _truncate_to_junta(f, junta):
     return inverse_transform(FourierCoefficients(product=f.product, coeffs=kept))
 
 
+def require_junta_input(f: FunctionTable, epsilon: float):
+    """The refusals of ``friedgut_extract`` that need no alpha or phi."""
+    if not f.boolean_pm1:
+        raise ValueError("junta extraction requires a {-1,+1}-valued function")
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
 def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
                      phi: float) -> JuntaResult:
     """Extract a Boolean junta within squared distance epsilon of f.
@@ -178,10 +191,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
     the junta is the sign of the spectral truncation of f to those
     coordinates (sign(0) = +1).
     """
-    if not f.boolean_pm1:
-        raise ValueError("junta extraction requires a {-1,+1}-valued function")
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
+    require_junta_input(f, epsilon)
     k = f.k
     var_j = np.array([f.variance_along(j) for j in range(k)])
     energy = dirichlet_form(f)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (CHECK_SLACK, ProductGraph, WeightedGraph, cartesian_power,
-                     log0, power_at_most)
+from .graphs import (CHECK_SLACK, ProductGraph, WeightedGraph, log0,
+                     power_at_most)
 
 BRUTE_FORCE_MAX_VERTICES = 25
 SCAN_SLACK = 1e-11
@@ -387,14 +387,15 @@ def _exact_and_estimate(graph: WeightedGraph, seed: int):
     return scan, est
 
 
-def product_scaling_report(base: WeightedGraph, k: int, *,
+def product_scaling_report(product: ProductGraph, *,
                            seed: int = 0) -> ScalingReport:
     """Compare conductance, spectral gap and log-Sobolev estimates of the
-    base graph against its k-fold power.  Quantities whose exhaustive or
-    dense computation is infeasible at either level are left out and the
+    base graph against its k-fold power ``product``.  Quantities whose
+    exhaustive or dense computation is infeasible at either level, or
+    whose G^k is over the product's dense cap, are left out and the
     report marked partial.  Where phi and alpha are both computed, the
     report also carries the inequality chain built from them."""
-    product = cartesian_power(base, k)  # refuses k < 1 before dividing by k
+    base, k = product.base, product.k
     base_scan, base_est = _exact_and_estimate(base, seed)
     lam_base = base.basis.lambda1
     # spectral averaging rule: the smallest nonzero mean of coordinate
@@ -402,7 +403,7 @@ def product_scaling_report(base: WeightedGraph, k: int, *,
     lam_product = lam_base / k
 
     prod_scan = prod_est = dense = None
-    if power_at_most(base.n, k, LS_MAX_VERTICES):
+    if product.within_cap and power_at_most(base.n, k, LS_MAX_VERTICES):
         # at k = 1 the materialized product is the base graph itself
         dense = product.to_weighted_graph()
         prod_scan, prod_est = ((base_scan, base_est) if dense is base

@@ -24,7 +24,7 @@ LIFT_MAX_VERTICES = 1 << 10
 LIFT_MAX_SETS = 20000
 # rows of x per block of the triangle scan
 TRIANGLE_BLOCK = 64
-# pairs per block of the batched verifiers, which bounds their temporaries
+# pairs per block of the batched delta check, which bounds its temporaries
 VERIFY_BLOCK_ENTRIES = 1 << 18
 
 
@@ -266,6 +266,10 @@ class LocalDistributions:
         for subset, table in self.tables.items():
             if len(subset) > self.level:
                 raise ValueError(f"subset {subset} exceeds level {self.level}")
+            for missing in itertools.combinations(subset, len(subset) - 1):
+                if missing and missing not in self.tables:
+                    raise ValueError(f"table for {subset} has no table for "
+                                     f"its sub-set {missing}")
             total = sum(table.values())
             # written so that a NaN fails it
             if not abs(total - 1.0) <= CHECK_SLACK:
@@ -274,44 +278,19 @@ class LocalDistributions:
                 raise ValueError(f"negative probability in table for {subset}")
 
     def check_marginal_consistency(self) -> float:
-        """Max disagreement of marginals on intersections of stored sets.
+        """Max disagreement of each table's marginals with the tables of
+        its proper nonempty sub-sets, a missing sign pattern read as 0.0.
 
-        Each marginal m(T, C) is projected once; the tables holding C are
-        then compared pairwise, keeping the pairs that meet exactly in C.
-        The projections sum in the order of ``marginal``, and numpy
-        subtracts, takes ``abs`` and the max exactly as Python does, so
-        the gap is the float a loop over all pairs gives.
+        The family is down-closed (``check_tables``), so this gap g' and
+        the max disagreement g of tables meeting in C satisfy g' <= g <= 2g'.
         """
-        keys = self.subsets()
-        by_common: dict = {}
-        for row, subset in enumerate(keys):
-            for pos in _subsets(range(len(subset)), 1, len(subset)):
-                by_common.setdefault(tuple(subset[i] for i in pos), []).append(
-                    (row, _project(self.tables[subset], pos)))
-        shared = [item for item in by_common.items() if len(item[1]) > 1]
-        if not shared:
-            return 0.0
-        member = _membership(keys).astype(np.float64)
         worst = 0.0
-        for common, entries in shared:
-            # column c of a marginal holds the assignment whose + signs are
-            # the bits of c; a key missing from it has probability 0.0
-            width = len(common)
-            signs = np.array([key for _, m in entries for key in m]).reshape(-1, width)
-            rows = np.repeat(np.arange(len(entries)), [len(m) for _, m in entries])
-            probs = np.zeros((len(entries), 1 << width))
-            probs[rows, (signs > 0) @ (1 << np.arange(width))] = [
-                p for _, m in entries for p in m.values()]
-            sub = member[[row for row, _ in entries]]
-            step = max(1, VERIFY_BLOCK_ENTRIES // len(entries))
-            for r0 in range(0, len(entries), step):
-                # |T1 & T2| == |C| means the pair meets exactly in C
-                i, j = np.nonzero(sub[r0:r0 + step] @ sub.T == len(common))
-                i += r0
-                later = j > i
-                if later.any():
-                    worst = max(worst, float(np.abs(
-                        probs[i[later]] - probs[j[later]]).max()))
+        for subset, table in self.tables.items():
+            for pos in _subsets(range(len(subset)), 1, len(subset) - 1):
+                m = _project(table, pos)
+                sub = self.tables[tuple(subset[i] for i in pos)]
+                for key in m.keys() | sub.keys():
+                    worst = max(worst, abs(m.get(key, 0.0) - sub.get(key, 0.0)))
         return worst
 
     def check_vector_consistency(self, sol: SdpSolution) -> float:
@@ -440,7 +419,7 @@ class SetVectorSolution:
         keys = self.subsets()
         vecs = np.stack([self.vectors[s] for s in keys])
         # symmetric differences as XORs of membership bits packed into words
-        words = np.packbits(_membership(keys, multiple=64), axis=1).view(np.uint64)
+        words = np.packbits(_membership(keys), axis=1).view(np.uint64)
         rows = max(1, VERIFY_BLOCK_ENTRIES // len(keys))
         parts = []
         for r0 in range(0, len(keys), rows):
@@ -453,12 +432,13 @@ class SetVectorSolution:
         return max(0.0, float((high - low).max()))
 
 
-def _membership(keys, multiple: int = 1) -> np.ndarray:
+def _membership(keys) -> np.ndarray:
     """Boolean (sets x elements) membership rows, the element columns
-    padded with zeros to a positive multiple of ``multiple``."""
+    padded with zeros to a positive multiple of 64, so they pack into
+    whole 64-bit words."""
     column: dict = {}
     cols = [column.setdefault(v, len(column)) for s in keys for v in s]
-    width = max(1, -(-len(column) // multiple)) * multiple
+    width = max(1, -(-len(column) // 64)) * 64
     member = np.zeros((len(keys), width), dtype=bool)
     member[np.repeat(np.arange(len(keys)), [len(s) for s in keys]), cols] = True
     return member

@@ -536,17 +536,50 @@ def test_max_dense_caps_the_base(capsys):
     assert run_capture(argv + ["--max-dense", "9"], capsys)[0] == 0
 
 
+def test_max_dense_caps_the_isoperimetry_product(monkeypatch, capsys):
+    # K3^3 has 27 > 20 vertices: nothing of it is materialized, as for a
+    # product beyond LS_MAX_VERTICES
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("materialized a product over the dense cap")
+
+    monkeypatch.setattr(bp.ProductGraph, "to_weighted_graph", unbuilt)
+    code, out = run_capture(["isoperimetry", "--builtin", "kq:3", "--k", "3",
+                             "--max-dense", "20"], capsys)
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["partial"] is True
+    assert results["phi_product"] is None and results["alpha_product"] is None
+
+
 @pytest.mark.parametrize("argv, message", [
     (["kkl", "--builtin", "k2", "--k", "1"], "influence report needs k >= 2"),
     (["kkl", "--builtin", "k2", "--k", "2", "--function", "half.json"],
      "influence report requires a {-1,+1}-valued function"),
     (["friedgut", "--builtin", "k2", "--k", "2", "--function", "half.json"],
      "junta extraction requires a {-1,+1}-valued function"),
-], ids=["kkl-k1", "kkl-non-boolean", "friedgut-non-boolean"])
+    # P3 has no certified constant: each is refused before the descent
+    (["kkl", "--builtin", "path:3", "--k", "1"], "influence report needs k >= 2"),
+    (["kkl", "--builtin", "path:3", "--k", "2", "--function", "half9.json"],
+     "influence report requires a {-1,+1}-valued function"),
+    (["friedgut", "--builtin", "path:3", "--k", "2", "--function", "half9.json"],
+     "junta extraction requires a {-1,+1}-valued function"),
+    (["friedgut", "--builtin", "path:3", "--k", "2", "--epsilon", "2"],
+     "epsilon must lie in (0, 1)"),
+], ids=["kkl-k1", "kkl-non-boolean", "friedgut-non-boolean", "kkl-k1-path",
+        "kkl-non-boolean-path", "friedgut-non-boolean-path", "friedgut-epsilon-path"])
 def test_influence_input_errors_exit_one(argv, message, tmp_path, monkeypatch, capsys):
     # only a constant function is a failed influence_report check (exit 2)
+    from boxprod import cli
+
+    def unrun(*args, **kwargs):
+        raise AssertionError("ran before refusing the input")
+
+    monkeypatch.setattr(cli, "log_sobolev_estimate", unrun)
+    monkeypatch.setattr(cli, "conductance_bruteforce", unrun)
     monkeypatch.chdir(tmp_path)
     Path("half.json").write_text(json.dumps({"k": 2, "values": [0.5, 1.0, -1.0, 1.0]}))
+    Path("half9.json").write_text(json.dumps({"k": 2, "values": [0.5] + [1.0] * 8}))
     code = run(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+

@@ -167,20 +167,20 @@ def test_chain_k3_values(k3):
 
 
 def test_scaling_report_k2(k2):
-    rep = bp.product_scaling_report(k2, 2, seed=0)
+    rep = bp.product_scaling_report(bp.cartesian_power(k2, 2), seed=0)
     assert math.isclose(rep.phi_ratio, 0.5, abs_tol=1e-9)
     assert math.isclose(rep.lambda1_ratio, 0.5, abs_tol=1e-15)
     assert abs(rep.alpha_ratio - 0.5) <= 0.05
 
 
 def test_scaling_report_k3(k3):
-    rep = bp.product_scaling_report(k3, 2, seed=0)
+    rep = bp.product_scaling_report(bp.cartesian_power(k3, 2), seed=0)
     assert math.isclose(rep.phi_product, 0.375, abs_tol=1e-9)
     assert not rep.partial
 
 
 def test_scaling_report_partial_when_big(c5):
-    rep = bp.product_scaling_report(c5, 4, seed=0)
+    rep = bp.product_scaling_report(bp.cartesian_power(c5, 4), seed=0)
     assert rep.partial
     assert rep.phi_product is None
     assert math.isclose(rep.lambda1_ratio, 0.25, abs_tol=1e-15)
@@ -189,7 +189,7 @@ def test_scaling_report_partial_when_big(c5):
 def test_scaling_report_partial_base():
     # 30 classes: subset enumeration infeasible at the base level too
     neck = bp.build_necklace(8)
-    rep = bp.product_scaling_report(neck, 2, seed=0)
+    rep = bp.product_scaling_report(bp.cartesian_power(neck, 2), seed=0)
     assert rep.partial
     assert rep.phi_base is None
     assert rep.phi_ratio is None

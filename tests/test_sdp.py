@@ -396,13 +396,39 @@ def test_non_finite_families_rejected():
         lasserre_from_dict({"t": 1, "sets": sets}, 1)
 
 
-# -- batched verifiers against the pairwise loops they replaced ---------------
+def test_family_without_a_sub_set_refused(monkeypatch, k2):
+    # tables on (0,) and (0, 1) only: before, the marginal gap read 0.0 and
+    # the lift died on a bare KeyError
+    from boxprod import sdp
 
-def _marginal_gap_loop(ld):
+    half = {(1,): 0.5, (-1,): 0.5}
+    pair = dict.fromkeys(itertools.product((1, -1), repeat=2), 0.25)
+    ld = bp.LocalDistributions(level=2, tables={(0,): half, (0, 1): pair})
+    message = r"table for \(0, 1\) has no table for its sub-set \(1,\)"
+    with pytest.raises(ValueError, match=message):
+        ld.check_tables()
+    sol = bp.vectors_from_distribution(bp.uniform_cut_distribution(2, (0,)))
+    prod = bp.cartesian_power(k2, 2)
+    with pytest.raises(ValueError, match=message):
+        bp.lift_sherali_adams(ld, sol, prod)
+    # a lifted family listed without the singleton of (1, 1)
+    listed = sdp._subsets
+    monkeypatch.setattr(sdp, "_subsets", lambda *args: [
+        s for s in listed(*args) if s != ((1, 1),)])
+    full = bp.sa_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 2)
+    with pytest.raises(ValueError, match=r"its sub-set \(\(1, 1\),\)"):
+        bp.lift_sherali_adams(full, sol, prod)
+
+
+# -- verifiers against the pairwise loops they replaced ------------------------
+
+def _marginal_gap_loop(ld, nested=False):
+    """Max disagreement of the marginals of tables meeting in a nonempty C;
+    with ``nested``, only of the pairs where C is one of the two sets."""
     worst = 0.0
     for t1, t2 in itertools.combinations(ld.subsets(), 2):
         common = tuple(sorted(set(t1) & set(t2)))
-        if not common:
+        if not common or nested and len(common) < min(len(t1), len(t2)):
             continue
         m1 = ld.marginal(t1, common)
         m2 = ld.marginal(t2, common)
@@ -454,14 +480,24 @@ def block_entries(request, monkeypatch):
         monkeypatch.setattr(sdp, "VERIFY_BLOCK_ENTRIES", request.param)
 
 
+def _sub_table_bounds(ld):
+    """The gap g' of the sub-table check and the pairwise gap g of the
+    loop it replaced: g' is the loop over nested pairs, to the bit, and a
+    pair meeting in C is compared through C's table."""
+    gap, pairwise = ld.check_marginal_consistency(), _marginal_gap_loop(ld)
+    assert gap > 0.0
+    assert gap == _marginal_gap_loop(ld, nested=True)
+    assert gap <= pairwise <= 2.0 * gap
+    return gap, pairwise
+
+
+# block_entries reaches only the delta check; it stays on the two marginal
+# tests below so that their ids are unchanged
 @pytest.mark.parametrize("seed", range(4))
 def test_marginal_gap_equals_pairwise_loop(block_entries, seed):
     rng = np.random.default_rng(seed)
     for n, level in ((3, 2), (4, 3), (5, 2)):
-        ld = _random_tables(rng, n, level)
-        gap = ld.check_marginal_consistency()
-        assert gap > 0.0
-        assert gap == _marginal_gap_loop(ld)
+        _sub_table_bounds(_random_tables(rng, n, level))
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -473,8 +509,22 @@ def test_lifted_marginal_gap_equals_pairwise_loop(block_entries, seed, k2, k3):
         lifted, _, gap, _ = bp.lift_sherali_adams(
             ld, bp.vectors_from_distribution(dist), bp.cartesian_power(base, k))
         assert isinstance(next(iter(lifted.tables))[0], tuple)
-        assert gap > 0.0
-        assert gap == _marginal_gap_loop(lifted)
+        assert gap == _sub_table_bounds(lifted)[0]
+
+
+def test_marginal_gap_reads_each_table_against_its_sub_tables():
+    # the pair tables push the marginal on (0,) by +d and -d: each is d
+    # from the table of (0,), and 2d from the other pair table
+    d = 1.0 / 16
+    half = {(1,): 0.5, (-1,): 0.5}
+    quarter = dict.fromkeys(itertools.product((1, -1), repeat=2), 0.25)
+    ld = bp.LocalDistributions(level=2, tables={
+        (0,): half, (1,): half, (2,): half,
+        (0, 1): {**quarter, (1, 1): 0.25 + d, (-1, 1): 0.25 - d},
+        (0, 2): {**quarter, (1, 1): 0.25 - d, (-1, 1): 0.25 + d},
+        (1, 2): quarter})
+    ld.check_tables()
+    assert _sub_table_bounds(ld) == (d, 2 * d)
 
 
 @pytest.mark.parametrize("length", [1, 7, 33])
