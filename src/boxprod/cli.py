@@ -61,19 +61,22 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("isoperimetry", "kkl", "friedgut", "sdp-lift", "examples"):
         cmd = sub.add_parser(name)
+        cmd.add_argument("--k", type=int, default=2, help="Cartesian power")
+        cmd.add_argument("--out", help="write the report here instead of stdout")
+        if name in ("sdp-lift", "examples"):
+            cmd.add_argument("--t-level", type=int, default=2, dest="t_level")
+        if name == "examples":
+            continue
         cmd.add_argument("--graph", help="graph JSON file")
         cmd.add_argument("--builtin", help="builtin graph: k2|kq:q|cycle:n|path:n|necklace:R")
-        cmd.add_argument("--k", type=int, default=2, help="Cartesian power")
-        cmd.add_argument("--epsilon", type=float, default=0.1)
-        cmd.add_argument("--t-level", type=int, default=2, dest="t_level")
-        cmd.add_argument("--samples", type=int, default=100_000)
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--out", help="write the report here instead of stdout")
         cmd.add_argument("--max-dense", type=int, default=DENSE_CAP, dest="max_dense")
         if name in ("kkl", "friedgut"):
             cmd.add_argument("--function", help="function JSON file")
             cmd.add_argument("--fn", default="random",
                              help="builtin function: dictator|parity|random")
+        if name == "friedgut":
+            cmd.add_argument("--epsilon", type=float, default=0.1)
         if name == "sdp-lift":
             cmd.add_argument("--sdp-file", dest="sdp_file")
             cmd.add_argument("--sa-file", dest="sa_file")
@@ -92,25 +95,15 @@ def _resolve_graph(args):
 
 
 def _resolve_function(args, product):
-    if getattr(args, "function", None):
+    if args.function:
         return load_function(args.function, product)
-    kind = getattr(args, "fn", "random")
-    if kind == "dictator":
+    if args.fn == "dictator":
         return dictator(product, 0)
-    if kind == "parity":
+    if args.fn == "parity":
         return parity(product)
-    if kind == "random":
+    if args.fn == "random":
         return random_boolean(product, np.random.default_rng(args.seed))
-    raise UsageError(f"unknown builtin function {kind!r}")
-
-
-def _config_dict(args) -> dict:
-    # --out is where the report goes, not what it computes; leaving it out
-    # keeps reports byte-identical across destinations
-    keys = ("command", "graph", "builtin", "k", "epsilon", "t_level", "samples",
-            "seed", "max_dense", "function", "fn", "sdp_file", "sa_file",
-            "lasserre_file")
-    return {key: getattr(args, key, None) for key in keys}
+    raise UsageError(f"unknown builtin function {args.fn!r}")
 
 
 def _influence_setup(args, require):
@@ -230,7 +223,8 @@ def cmd_friedgut(args) -> dict:
         "phi": phi,
         "junta": list(res.junta),
         "distance": res.distance,
-        "threshold": res.threshold,
+        # infinite for a constant function, and JSON has no infinity
+        "threshold": res.threshold if math.isfinite(res.threshold) else None,
         "size_bound_log": res.size_bound_log,
         "dirichlet": res.dirichlet,
         "coordinate_variances": [float(x) for x in res.coordinate_variances],
@@ -304,6 +298,9 @@ def cmd_sdp_lift(args) -> dict:
 
 def cmd_examples(args) -> dict:
     t_level = _t_level(args)
+    k2 = complete_graph(2)
+    # built before the first file, so a --k the dense cap refuses writes none
+    dictator_k = dictator(cartesian_power(k2, args.k), 0)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -312,12 +309,9 @@ def cmd_examples(args) -> dict:
         write_json(data, os.path.join(out_dir, name))
         written.append(name)
 
-    k2 = complete_graph(2)
     emit("k2.graph.json", graph_to_dict(k2))
     emit("p3.graph.json", graph_to_dict(path_graph(3)))
-    product = cartesian_power(k2, args.k)
-    emit(f"dictator.k{args.k}.function.json",
-         function_to_dict(dictator(product, 0)))
+    emit(f"dictator.k{args.k}.function.json", function_to_dict(dictator_k))
     _, sol = basic_sdp_opt(k2)
     emit("k2.sdp.json", sdp_to_dict(sol))
     dist = uniform_cut_distribution(2, (0,))
@@ -355,7 +349,9 @@ def run(argv=None) -> int:
     passed = all(check["passed"] for check in body["checks"])
     report = {
         "command": args.command,
-        "config": _config_dict(args),
+        # --out is where the report goes, not what it computes; leaving it out
+        # keeps reports byte-identical across destinations
+        "config": {key: value for key, value in vars(args).items() if key != "out"},
         "version": __version__,
         "tolerances": TOLERANCES,
         "results": body["results"],
@@ -363,12 +359,14 @@ def run(argv=None) -> int:
         "passed": passed,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.command == "examples" and args.out:
-        # example files already live in --out; report goes to stdout
-        sys.stdout.write(text)
-    elif args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    # the --out of examples holds the example files; their report goes to stdout
+    if args.out and args.command != "examples":
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0 if passed else 2

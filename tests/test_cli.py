@@ -1,6 +1,8 @@
 """CLI: exit codes, report schema, determinism, file inputs."""
 
+import errno
 import json
+import os
 import time
 from pathlib import Path
 
@@ -46,6 +48,22 @@ def test_kkl_constant_function_reports_error(tmp_path, capsys):
     report = json.loads(out)
     assert report["results"]["status"] == "error"
     assert not report["passed"]
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_friedgut_constant_function_reports_strict_json(tmp_path, capsys):
+    # a constant function keeps no coordinate, so its threshold is infinite
+    fn_path = tmp_path / "const.json"
+    fn_path.write_text(json.dumps({"k": 2, "values": [1.0, 1.0, 1.0, 1.0]}))
+    code, out = run_capture(
+        ["friedgut", "--builtin", "k2", "--k", "2", "--function", str(fn_path)], capsys)
+    assert code == 0
+    report = json.loads(out, parse_constant=_not_json)
+    assert report["results"]["junta"] == []
+    assert report["results"]["threshold"] is None
 
 
 def test_friedgut_dictator(capsys):
@@ -95,6 +113,55 @@ def test_usage_error_exit_one(capsys):
 
 def test_io_error_exit_one(capsys):
     assert run(["isoperimetry", "--graph", "/does/not/exist.json"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["isoperimetry", "--builtin", "k2", "--k", "1", "--epsilon", "0.5"],
+    ["kkl", "--builtin", "k2", "--k", "2", "--t-level", "2"],
+    ["friedgut", "--builtin", "k2", "--k", "2", "--samples", "10"],
+    ["sdp-lift", "--builtin", "k2", "--k", "2", "--epsilon", "0.1"],
+    ["examples", "--seed", "1"],
+], ids=["isoperimetry", "kkl", "friedgut", "sdp-lift", "examples"])
+def test_flag_the_command_does_not_read_exit_one(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # examples would write here
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"usage error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+GRAPH_CONFIG = ["builtin", "command", "graph", "k", "max_dense", "seed"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["isoperimetry", "--builtin", "k2", "--k", "1"], GRAPH_CONFIG),
+    (["kkl", "--k", "2", "--fn", "dictator"], GRAPH_CONFIG + ["fn", "function"]),
+    (["friedgut", "--k", "2", "--fn", "dictator"],
+     GRAPH_CONFIG + ["epsilon", "fn", "function"]),
+    (["sdp-lift", "--k", "1"],
+     GRAPH_CONFIG + ["lasserre_file", "sa_file", "sdp_file", "t_level"]),
+    (["examples", "--k", "1"], ["command", "k", "t_level"]),
+], ids=["isoperimetry", "kkl", "friedgut", "sdp-lift", "examples"])
+def test_config_echoes_the_flags_the_command_takes(argv, keys, tmp_path, capsys):
+    # --out is left out: it says where the report (or the example files) go
+    out = tmp_path / "out"
+    code, stdout = run_capture(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    report = json.loads(stdout if argv[0] == "examples" else out.read_text())
+    assert sorted(report["config"]) == sorted(keys)
+
+
+@pytest.mark.parametrize("where, code", [("missing/report.json", errno.ENOENT),
+                                         (".", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exit_one(where, code, tmp_path, capsys):
+    path = tmp_path / where
+    argv = ["isoperimetry", "--builtin", "k2", "--k", "1", "--out", str(path)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -236,10 +303,13 @@ def test_malformed_input_file_exit_one(tmp_path, capsys, flag, doc, message):
     (["sdp-lift", "--builtin", "k2", "--k", "2", "--t-level", "-3"],
      "--t-level must be >= 1, not -3"),
     (["examples", "--t-level", "0"], "--t-level must be >= 1, not 0"),
+    (["examples", "--k", "40"],
+     "n^k = 2^40 exceeds the dense cap 4194304; use the Monte-Carlo estimators instead"),
+    (["examples", "--k", "-1"], "power k must be >= 1"),
     (["isoperimetry", "--graph", "g.json", "--builtin", "k2"],
      "give either --graph or --builtin, not both"),
 ], ids=["isoperimetry-k0", "sdp-lift-t0", "sdp-lift-t-3", "examples-t0",
-        "graph-and-builtin"])
+        "examples-k40", "examples-k-1", "graph-and-builtin"])
 def test_out_of_range_argument_exit_one(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # examples would write here
     code = run(argv)

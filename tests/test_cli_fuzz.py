@@ -1,12 +1,14 @@
 """The exit-code contract under arbitrary arguments and malformed input
-files: ``run`` returns 0, 1 or 2 and never raises.
+files: ``run`` returns 0, 1 or 2 and never raises, a refusal (1) writes
+nothing to standard output, and a report (0 or 2) is strict JSON.
 
-Arguments are drawn from values that run to a report, with at most one
-of them replaced by an edge value, so that each refusal is reached on
-its own.  Products stay small (k <= 2 on two- and three-vertex bases)
-except for k = 40 and 64, which must hit a dense cap before anything of
-size n^k is allocated.  Examples are derandomized, so the suite runs
-the same inputs every time.
+Each command gets only the flags it reads, drawn from values that run
+to a report (a draw without an edge value must reach one), with at most
+one of them replaced by an edge value, so that each refusal is reached
+on its own.  Products stay small (k <= 2
+on two- and three-vertex bases) except for k = 40 and 64, which must
+hit a dense cap before anything of size n^k is allocated.  Examples are
+derandomized, so the suite runs the same inputs every time.
 """
 
 import contextlib
@@ -23,9 +25,16 @@ from boxprod.cli import run
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
-COMMANDS = ("isoperimetry", "kkl", "friedgut", "sdp-lift", "examples")
-# arguments drawn from values that run to a report (--fn only for kkl
-# and friedgut)
+# the flags each command reads, besides --out and the input files
+GRAPH_FLAGS = ("--builtin", "--k", "--seed", "--max-dense")
+FLAGS = {
+    "isoperimetry": GRAPH_FLAGS,
+    "kkl": GRAPH_FLAGS + ("--fn",),
+    "friedgut": GRAPH_FLAGS + ("--fn", "--epsilon"),
+    "sdp-lift": GRAPH_FLAGS + ("--t-level",),
+    "examples": ("--k", "--t-level"),
+}
+# arguments drawn from values that run to a report
 VALID_ARGS = {
     "--builtin": st.sampled_from(["k2", "kq:3"]),
     "--k": st.integers(1, 2),
@@ -44,10 +53,21 @@ EDGE_ARGS = {
     "--max-dense": [-1, 0, 8],
     "--fn": ["parity", "nope"],
 }
-EDGE = st.none() | st.sampled_from(sorted(EDGE_ARGS)).flatmap(
-    lambda flag: st.tuples(st.just(flag), st.sampled_from(EDGE_ARGS[flag])))
 VALID_ARGV = {"--builtin": "k2", "--k": 2, "--t-level": 2, "--epsilon": 0.1,
               "--seed": 0, "--max-dense": 1 << 22, "--fn": "random"}
+
+
+def _arguments(command):
+    """``command``, values for its flags and at most one edge value."""
+    flags = FLAGS[command]
+    valid = {flag: VALID_ARGS[flag] for flag in flags}
+    if command == "kkl":
+        valid["--k"] = st.just(2)  # kkl refuses --k 1
+    edge_flags = [flag for flag in sorted(EDGE_ARGS) if flag in flags]
+    edge = st.none() | st.sampled_from(edge_flags).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(EDGE_ARGS[flag])))
+    return st.tuples(st.just(command), st.fixed_dictionaries(valid), edge)
+
 
 # a valid document of each input file kind, for the k2 base at k = 2
 VALID = {
@@ -73,12 +93,21 @@ JSON = st.recursive(
     max_leaves=6)
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+    else:
+        # a written report is strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_not_json)
     return code
 
 
@@ -98,24 +127,31 @@ def _mutate(data, doc):
 
 
 @FUZZ
-@given(command=st.sampled_from(COMMANDS), args=st.fixed_dictionaries(VALID_ARGS),
-       edge=EDGE)
-@example(command="isoperimetry", args=VALID_ARGV, edge=("--k", 0))
-@example(command="sdp-lift", args=VALID_ARGV, edge=("--t-level", 0))
-@example(command="examples", args=VALID_ARGV, edge=("--t-level", -3))
-def test_any_arguments_keep_the_exit_code_contract(command, args, edge):
+@given(case=st.sampled_from(sorted(FLAGS)).flatmap(_arguments))
+@example(case=("isoperimetry", VALID_ARGV, ("--k", 0)))
+@example(case=("sdp-lift", VALID_ARGV, ("--t-level", 0)))
+@example(case=("examples", VALID_ARGV, ("--t-level", -3)))
+@example(case=("isoperimetry", dict(VALID_ARGV, **{"--builtin": "kq:3"}), None))
+@example(case=("kkl", VALID_ARGV, None))
+@example(case=("friedgut", VALID_ARGV, None))
+@example(case=("sdp-lift", VALID_ARGV, None))
+@example(case=("examples", VALID_ARGV, None))
+def test_any_arguments_keep_the_exit_code_contract(case):
+    command, args, edge = case
+    args = {flag: value for flag, value in args.items() if flag in FLAGS[command]}
     if edge is not None:
-        args = dict(args, **{edge[0]: edge[1]})
+        args[edge[0]] = edge[1]
     # the log-Sobolev descent on K2^2 alone takes seconds
-    assume((command, args["--builtin"], args["--k"]) != ("isoperimetry", "k2", 2))
+    assume((command, args.get("--builtin"), args["--k"]) != ("isoperimetry", "k2", 2))
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command]
         for flag, value in args.items():
-            if flag != "--fn" or command in ("kkl", "friedgut"):
-                argv += [flag, repr(value) if isinstance(value, float) else str(value)]
+            argv += [flag, repr(value) if isinstance(value, float) else str(value)]
         if command == "examples":
             argv += ["--out", tmp]
-        _exit_code(argv)
+        code = _exit_code(argv)
+    if edge is None:
+        assert code in (0, 2)  # valid values run to a report
 
 
 @FUZZ

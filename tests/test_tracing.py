@@ -46,9 +46,9 @@ TOUCHED = {
 
 @pytest.mark.parametrize("command", sorted(TOUCHED))
 def test_traced_run_counts_its_layers(command, tmp_path, capsys):
-    argv = [command, "--builtin", "k2", "--k", "3"]
-    if command == "examples":
-        argv += ["--out", str(tmp_path)]
+    argv = [command, "--k", "3"]
+    # examples builds on K2 and takes no --builtin
+    argv += ["--out", str(tmp_path)] if command == "examples" else ["--builtin", "k2"]
     wrapped = [entry[:2] for entries in tracing.LAYERS.values() for entry in entries]
     originals = [_resolve(*where) for where in wrapped]
     tracer = tracing.Tracer()
