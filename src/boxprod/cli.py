@@ -175,7 +175,9 @@ def cmd_kkl(args) -> dict:
                 "checks": [_check("influence_report", False, str(exc))]}
     sweep = []
     all_ok = True
-    for t, rows in zip(T_SWEEP, corollary_sweep(f, T_SWEEP, alpha)):
+    # the mean influence is f's edge-sum energy, which the sweep checks against
+    rows_per_t = corollary_sweep(f, T_SWEEP, alpha, rep.mean_influence)
+    for t, rows in zip(T_SWEEP, rows_per_t):
         ok = all(r.ok for r in rows)
         all_ok &= ok
         sweep.append({"t": t, "ok": ok,
@@ -337,6 +339,8 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # -h has printed the usage
+        return exc.code or 0
     try:
         body = _COMMANDS[args.command](args)
     except (UsageError, OSError, json.JSONDecodeError, ValueError,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .functions import FunctionTable
 from .graphs import CHECK_SLACK
-from .spectral import (FourierCoefficients, decompose, dirichlet_form,
+from .spectral import (FourierCoefficients, component_energies, dirichlet_form,
                        fourier_transform, influence_profile, inverse_transform)
 
 T_MAX = math.exp(-2.0)
@@ -63,16 +63,28 @@ class CorollaryRow:
     ok: bool
 
 
-def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float) -> list:
+def corollary_sweep(f: FunctionTable, ts: tuple, alpha: float,
+                    energy: float | None = None) -> list:
     """``corollary_check`` at each t of ``ts``, one list of rows per t.
-    Only the right-hand sides depend on t; the rest is computed once."""
+    Only the right-hand sides depend on t; the rest is computed once.
+
+    The components' energies and squared norms come from one Fourier
+    transform.  They must add up to ``energy``, the edge-sum energy of f,
+    which is computed when not given."""
     for t in ts:
         _require_t(t)
     if not f.boolean_pm1:
         raise ValueError("corollary check requires a {-1,+1}-valued function")
-    dec = decompose(f)
-    terms = [(dirichlet_form(part), f.variance_along(j), part.norm2_sq())
-             for j, part in enumerate(dec.parts)]
+    energies, norms = component_energies(fourier_transform(f))
+    if energy is None:
+        energy = dirichlet_form(f)
+    # the components are orthogonal, so their energies add up to f's
+    total = float(energies.sum())
+    if abs(total - energy) > CHECK_SLACK:
+        raise AssertionError(f"component energies sum to {total}, not to the "
+                             f"energy {energy} of f")
+    terms = [(float(energies[j]), f.variance_along(j), float(norms[j]))
+             for j in range(f.k)]
     sweep = []
     for t in ts:
         rows = []

@@ -150,16 +150,10 @@ def dirichlet_form(f: FunctionTable) -> float:
 
 # -- coordinate decomposition --------------------------------------------------
 
-def _component_masks(shape):
-    """Boolean masks over multi-indices: slot j nonzero, later slots zero."""
-    grids = np.indices(shape)
-    masks = []
-    trailing_zero = np.ones(shape, dtype=bool)
-    for j in reversed(range(len(shape))):
-        masks.append((grids[j] != 0) & trailing_zero)
-        trailing_zero = trailing_zero & (grids[j] == 0)
-    masks.reverse()
-    return masks
+def _block(j: int, k: int) -> tuple:
+    """Index of component j in a coefficient tensor: the multi-indices
+    whose slot j is nonzero and whose later slots are all zero."""
+    return (slice(None),) * j + (slice(1, None),) + (0,) * (k - 1 - j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +182,37 @@ def decompose(f: FunctionTable) -> Decomposition:
     constant part carries the mean.
     """
     coeffs = fourier_transform(f)
-    masks = _component_masks(f.product.shape)
     parts = []
     for j in range(f.k):
-        cj = np.where(masks[j], coeffs.coeffs, 0.0)
+        block = _block(j, f.k)
+        cj = np.zeros(f.product.shape)
+        cj[block] = coeffs.coeffs[block]
         parts.append(inverse_transform(FourierCoefficients(product=f.product, coeffs=cj)))
     # the constant eigenfunction is exactly 1, so its inverse transform
     # is the coefficient itself
     constant = from_values(f.product, np.full(f.product.num_vertices,
                                               coeffs.coeffs[(0,) * f.k]))
     return Decomposition(constant=constant, parts=tuple(parts))
+
+
+def component_energies(coeffs: FourierCoefficients):
+    """Energy and squared norm of each part of ``decompose``, read off the
+    coefficients without building the parts.
+
+    Part j is the block ``(:,)*j + (1:,) + (0,)*(k-1-j)`` of the tensor.
+    Its energy sums c_a^2 times the product eigenvalue of a, and its
+    squared norm sums c_a^2 (Parseval).  Returns two arrays of length k.
+    """
+    k = coeffs.product.k
+    sq = coeffs.coeffs * coeffs.coeffs
+    weighted = sq * coeffs.multi_eigenvalues()
+    energies = np.empty(k)
+    norms = np.empty(k)
+    for j in range(k):
+        block = _block(j, k)
+        energies[j] = weighted[block].sum()
+        norms[j] = sq[block].sum()
+    return energies, norms
 
 
 def check_l2_l1_bounds(f: FunctionTable):

@@ -111,6 +111,16 @@ def test_usage_error_exit_one(capsys):
     assert run(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("command", [None, "isoperimetry", "kkl", "friedgut",
+                                     "sdp-lift", "examples"])
+def test_help_returns_zero(command, capsys):
+    prog = "analyze" if command is None else f"analyze {command}"
+    assert run([command, "-h"] if command else ["-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: {prog} [-h]")
+    assert captured.err == ""
+
+
 def test_io_error_exit_one(capsys):
     assert run(["isoperimetry", "--graph", "/does/not/exist.json"]) == 1
 

@@ -71,28 +71,97 @@ def test_corollary_random_sweep(k2):
             assert all(r.ok for r in rows)
 
 
+def _reference_terms(f):
+    """Energy and squared norm of each part of a fresh decomposition, the
+    parts built as tables and their energies summed over the edges."""
+    return [(bp.dirichlet_form(part), part.norm2_sq()) for part in bp.decompose(f).parts]
+
+
 def _reference_rows(f, t, alpha):
     """Rows for one t, every term computed afresh from a new decomposition."""
     rows = []
-    for j, part in enumerate(bp.decompose(f).parts):
-        lhs = bp.dirichlet_form(part)
-        rhs = _entropy_rhs(alpha, f.k, t, f.variance_along(j), part.norm2_sq())
+    for j, (lhs, l2_sq) in enumerate(_reference_terms(f)):
+        rhs = _entropy_rhs(alpha, f.k, t, f.variance_along(j), l2_sq)
         rows.append(CorollaryRow(j=j, lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - CHECK_SLACK)))
     return rows
 
 
-def test_corollary_sweep_matches_fresh_decompositions(k2, k3):
+def test_corollary_sweep_matches_fresh_decompositions(k2, k3, c5, p3):
+    # C5 and P3 have repeated eigenvalues, and P3 a non-uniform pi
     rng = np.random.default_rng(17)
-    for g, k, alpha in ((k2, 5, 2.0), (k3, 3, 1.3)):
+    for g, k, alpha in ((k2, 5, 2.0), (k3, 3, 1.3), (c5, 3, 0.6), (p3, 4, 0.5)):
         prod = bp.cartesian_power(g, k)
         for _ in range(4):
             f = bp.random_boolean(prod, rng)
+            energies, norms = spectral.component_energies(bp.fourier_transform(f))
+            for (lhs, l2_sq), energy, norm in zip(_reference_terms(f), energies, norms):
+                assert math.isclose(energy, lhs, rel_tol=1e-12, abs_tol=0.0)
+                assert math.isclose(norm, l2_sq, rel_tol=1e-12, abs_tol=0.0)
             sweep = bp.corollary_sweep(f, T_SWEEP, alpha)
             assert len(sweep) == len(T_SWEEP)
             for t, rows in zip(T_SWEEP, sweep):
-                fresh = bp.corollary_check(f, t, alpha)
-                assert rows == fresh
-                assert rows == _reference_rows(f, t, alpha)
+                assert rows == bp.corollary_check(f, t, alpha)
+                reference = _reference_rows(f, t, alpha)
+                assert [r.j for r in rows] == [r.j for r in reference]
+                assert [r.ok for r in rows] == [r.ok for r in reference]
+                for row, ref in zip(rows, reference):
+                    assert math.isclose(row.lhs, ref.lhs, rel_tol=1e-12, abs_tol=0.0)
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(spectral, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        for module in (spectral, influence):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_corollary_sweep_reads_one_transform(k2, k3, monkeypatch):
+    calls = _count_calls(monkeypatch, ("fourier_transform", "inverse_transform",
+                                       "directional_form"))
+    rng = np.random.default_rng(5)
+    for f in (bp.random_boolean(bp.cartesian_power(k2, 6), rng),
+              bp.random_boolean(bp.cartesian_power(k3, 3), rng)):
+        energy = bp.dirichlet_form(f)
+        for given, edge_passes in ((None, f.k), (energy, 0)):
+            calls.update(dict.fromkeys(calls, 0))
+            bp.corollary_sweep(f, T_SWEEP, 1.0, given)
+            assert calls == {"fourier_transform": 1, "inverse_transform": 0,
+                             "directional_form": edge_passes}
+
+
+def test_kkl_sums_the_edges_once(monkeypatch, capsys):
+    from boxprod.cli import run
+
+    calls = _count_calls(monkeypatch, ("fourier_transform", "inverse_transform",
+                                       "directional_form"))
+    assert run(["kkl", "--builtin", "k2", "--k", "5", "--fn", "random"]) == 0
+    capsys.readouterr()
+    # the k edge sums of the influence profile, shared with the sweep
+    assert calls == {"fourier_transform": 1, "inverse_transform": 0,
+                     "directional_form": 5}
+
+
+def test_corollary_sweep_raises_when_energies_do_not_add_up():
+    # a basis whose eigenvalue disagrees with its eigenfunction: the
+    # coefficients then weigh the components wrongly, and the edge sums do not
+    g = bp.complete_graph(3)
+    evals = np.array(g.basis.eigenvalues)
+    evals[1] *= 1.001
+    g.__dict__["basis"] = spectral.SpectralBasis(
+        eigenvalues=evals, eigenfunctions=np.array(g.basis.eigenfunctions))
+    f = bp.random_boolean(bp.cartesian_power(g, 3), np.random.default_rng(2))
+    with pytest.raises(AssertionError, match="component energies"):
+        bp.corollary_sweep(f, T_SWEEP, 1.3)
+    # and an energy handed in that is not f's
+    f = bp.random_boolean(bp.cartesian_power(bp.complete_graph(3), 3),
+                          np.random.default_rng(2))
+    with pytest.raises(AssertionError, match="component energies"):
+        bp.corollary_sweep(f, T_SWEEP, 1.3, bp.dirichlet_form(f) + 1e-6)
 
 
 def test_corollary_sweep_rejects_any_bad_t(k2):
@@ -266,13 +335,7 @@ def test_friedgut_junta_leads_the_variance_order(k2, k3):
 
 
 def test_friedgut_transforms_once_each_way(k2, k3, monkeypatch):
-    calls = {"fourier_transform": 0, "inverse_transform": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(spectral, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        for module in (spectral, influence):
-            monkeypatch.setattr(module, name, counted)
+    calls = _count_calls(monkeypatch, ("fourier_transform", "inverse_transform"))
     rng = np.random.default_rng(13)
     for f, alpha, phi in ((bp.dictator(bp.cartesian_power(k2, 4), 0), 2.0, 1.0),
                           (bp.random_boolean(bp.cartesian_power(k3, 3), rng), 1.44, 0.75)):
