@@ -3,13 +3,12 @@ of weighted graphs."""
 
 from .functions import (FunctionTable, dictator, efron_stein_check, from_values,
                         parity, random_boolean)
-from .gadgets import (ConsecutiveOnesFunction, build_necklace, build_qary_cube,
+from .gadgets import (ConsecutiveOnesFunction, build_necklace,
                       consecutive_ones_function, influence_monte_carlo,
                       named_graph, probability_minus_one)
 from .graphs import (DenseCapError, ProductGraph, WeightedGraph, build_graph,
                      cartesian_power, complete_graph, cycle_graph, graph_from_dict,
-                     graph_to_dict, load_graph, path_graph, save_graph,
-                     validate_measures)
+                     graph_to_dict, load_graph, path_graph, save_graph)
 from .influence import (InfluenceReport, JuntaResult, corollary_check,
                         corollary_sweep, friedgut_extract, is_junta_on,
                         kkl_report, main_lemma_check)
@@ -28,6 +27,6 @@ from .sdp import (LocalDistributions, SdpSolution, SetVectorSolution,
 from .spectral import (Decomposition, FourierCoefficients, SpectralBasis,
                        check_l2_l1_bounds, decompose, dirichlet_form,
                        directional_form, eigendecompose, fourier_transform,
-                       influence_profile, inverse_transform, product_eigenvalue)
+                       influence_profile, inverse_transform)
 
 __version__ = "0.1.0"

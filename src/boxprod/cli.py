@@ -28,7 +28,8 @@ from .influence import (ConstantFunctionError, corollary_sweep, friedgut_extract
                         is_junta_on, kkl_report, require_junta_input,
                         require_kkl_input)
 from .isoperimetry import (CHAIN_REL_TOL, conductance_bruteforce,
-                           log_sobolev_estimate, product_scaling_report)
+                           log_sobolev_estimate, product_scaling_report,
+                           scannable)
 from .sdp import (basic_sdp_opt, check_triangle, lasserre_from_dict,
                   lasserre_from_distribution, lasserre_to_dict, lift_lasserre,
                   lift_sherali_adams, lift_vectors, sa_from_dict,
@@ -203,8 +204,11 @@ def cmd_kkl(args) -> dict:
 
 
 def cmd_friedgut(args) -> dict:
-    base, f, alpha, label = _influence_setup(
-        args, lambda f: require_junta_input(f, args.epsilon))
+    def require(f):
+        require_junta_input(f, args.epsilon)
+        scannable(f.product.base)  # the conductance scan below refuses the same
+
+    base, f, alpha, label = _influence_setup(args, require)
     phi, _ = conductance_bruteforce(base)
     res = friedgut_extract(f, args.epsilon, alpha, phi)
     checks = [

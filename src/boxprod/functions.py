@@ -1,9 +1,9 @@
 """Dense real-valued functions on product graphs.
 
 Tables hold one value per product vertex in row-major tuple order and
-expose the measure-weighted primitives: norms, variance, coordinate
-variance (both as a conditional variance and as the quadratic form of
-the coordinate centering operator), and entropy.
+expose the measure-weighted primitives: mean, norms, variance and the
+coordinate variance (the expected conditional variance along one
+coordinate).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import CHECK_SLACK, ProductGraph, entropy_sq, read_json, write_json
+from .graphs import CHECK_SLACK, ProductGraph, read_json
 
 BOOL_TOL = 1e-12
 
@@ -62,9 +62,6 @@ class FunctionTable:
     def norm2_sq(self) -> float:
         return float(np.sum(self._pi() * self.values * self.values))
 
-    def inner(self, other: "FunctionTable") -> float:
-        return float(np.sum(self._pi() * self.values * other.values))
-
     def variance(self) -> float:
         m = self.mean()
         return self.norm2_sq() - m * m
@@ -77,19 +74,6 @@ class FunctionTable:
         m1 = pi @ tens
         m2 = pi @ (tens * tens)
         return float((m2 - m1 * m1) @ self.product.pi_rest())
-
-    def centering_form(self, j: int) -> float:
-        """Same quantity via the coordinate-j centering quadratic form."""
-        n = self.product.base.n
-        pi = self.product.base.pi
-        tens = np.moveaxis(self.as_tensor(), j, 0).reshape(n, -1)
-        # apply diag(pi) - pi pi^T along axis j, diag(pi) elsewhere
-        applied = pi[:, None] * (tens - (pi @ tens)[None, :])
-        return float(np.sum(tens * applied, axis=0) @ self.product.pi_rest())
-
-    def entropy_sq(self) -> float:
-        """Entropy of f^2 under the product measure (0*log0 = 0)."""
-        return float(entropy_sq(self._pi(), self.values))
 
 
 # -- constructors ------------------------------------------------------------
@@ -153,10 +137,6 @@ def function_from_dict(data: dict, product: ProductGraph) -> FunctionTable:
     if int(data["k"]) != product.k:
         raise ValueError(f"function has k={data['k']}, product has k={product.k}")
     return from_values(product, data["values"])
-
-
-def save_function(f: FunctionTable, path):
-    write_json(function_to_dict(f), path, indent=None)
 
 
 def load_function(path, product: ProductGraph) -> FunctionTable:

@@ -14,18 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (DENSE_CAP, ProductGraph, WeightedGraph, _from_arrays,
-                     cartesian_power, complete_graph, cycle_graph, path_graph,
-                     require_base_within)
+from .graphs import (DENSE_CAP, WeightedGraph, _from_arrays, complete_graph,
+                     cycle_graph, path_graph, require_base_within)
 
 NECKLACE_MAX_R = 20
-
-
-def build_qary_cube(q: int, k: int) -> ProductGraph:
-    """k-fold power of the complete graph on q vertices."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    return cartesian_power(complete_graph(q), k)
 
 
 def _rotate1(values: np.ndarray, width: int) -> np.ndarray:

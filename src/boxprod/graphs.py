@@ -25,7 +25,6 @@ import numpy as np
 
 DENSE_CAP = 1 << 22
 
-MEASURE_TOL = 1e-12
 # slack of every exact-recomputation check; reports state it as check_abs
 CHECK_SLACK = 1e-9
 
@@ -93,20 +92,6 @@ class WeightedGraph:
         """The graph's ``spectral.SpectralBasis``, solved once."""
         from . import spectral  # spectral imports this module
         return spectral.eigendecompose(self)
-
-    @cached_property
-    def _edge_index(self) -> dict:
-        return {
-            (int(u), int(v)): float(w)
-            for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w)
-        }
-
-    def edge_mass(self, u: int, v: int) -> float:
-        """Mass of the unordered pair {u, v}; zero when not an edge."""
-        if u == v:
-            return 0.0
-        key = (u, v) if u < v else (v, u)
-        return self._edge_index.get(key, 0.0)
 
     # -- function-space primitives under the vertex measure -----------------
 
@@ -218,27 +203,6 @@ def build_graph(n: int, edges) -> WeightedGraph:
     return _from_arrays(n, eu, ev, ew, normalize=True)
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Residuals of the edge/vertex measure consistency conditions."""
-
-    residuals: np.ndarray
-    worst_vertex: int
-    passed: bool
-
-
-def validate_measures(graph: WeightedGraph) -> MeasureReport:
-    """Check 2*pi(v) = sum_u mu({u,v}) per vertex and sum(mu) = 1."""
-    row = np.zeros(graph.n)
-    np.add.at(row, graph.edge_u, graph.edge_w)
-    np.add.at(row, graph.edge_v, graph.edge_w)
-    residuals = np.abs(2.0 * graph.pi - row)
-    mass_error = abs(float(graph.edge_w.sum()) - 1.0)
-    worst = int(np.argmax(residuals))
-    passed = bool(residuals.max() < MEASURE_TOL and mass_error < MEASURE_TOL)
-    return MeasureReport(residuals=residuals, worst_vertex=worst, passed=passed)
-
-
 # -- builtin families --------------------------------------------------------
 
 def complete_graph(q: int) -> WeightedGraph:
@@ -299,25 +263,6 @@ class ProductGraph:
                 f"{self.dense_cap}; use the Monte-Carlo estimators instead"
             )
 
-    def index_of(self, tup) -> int:
-        n = self.base.n
-        idx = 0
-        if len(tup) != self.k:
-            raise ValueError("tuple length != k")
-        for x in tup:
-            if not 0 <= x < n:
-                raise ValueError(f"coordinate {x} out of range")
-            idx = idx * n + int(x)
-        return idx
-
-    def tuple_of(self, index: int) -> tuple:
-        n = self.base.n
-        out = []
-        for _ in range(self.k):
-            out.append(index % n)
-            index //= n
-        return tuple(reversed(out))
-
     def _pi_power(self, m: int) -> np.ndarray:
         """Read-only kron power ``pi^{(x)m}``, built once per exponent."""
         if m not in self._pi_powers:
@@ -336,28 +281,6 @@ class ProductGraph:
         if not power_at_most(self.base.n, self.k - 1, self.dense_cap):
             raise DenseCapError("n^(k-1) exceeds the dense cap")
         return self._pi_power(self.k - 1)
-
-    def product_edge_mass(self, x, y) -> float:
-        """Mass of the unordered product edge {x, y}.
-
-        Zero unless the tuples differ in exactly one coordinate by a
-        base edge; otherwise (1/k) * prod(pi over shared coordinates)
-        * mu(base pair).
-        """
-        if len(x) != self.k or len(y) != self.k:
-            raise ValueError("tuples must have length k")
-        diff = [j for j in range(self.k) if x[j] != y[j]]
-        if len(diff) != 1:
-            return 0.0
-        j = diff[0]
-        mass = self.base.edge_mass(int(x[j]), int(y[j]))
-        if mass == 0.0:
-            return 0.0
-        rest = 1.0
-        for i in range(self.k):
-            if i != j:
-                rest *= float(self.base.pi[x[i]])
-        return mass * rest / self.k
 
     def dense_edges(self):
         """All product edges as flat-index arrays (u, v, mass)."""
@@ -427,10 +350,10 @@ def read_json(path, parse, *args):
                          f"{type(exc).__name__}: {exc}") from exc
 
 
-def write_json(data, path, indent: int | None = 2):
-    """Sorted-key JSON plus a newline; ``indent=None`` writes it compact."""
+def write_json(data, path):
+    """Sorted-key JSON, indented by 2, plus a newline."""
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=indent)
+        json.dump(data, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

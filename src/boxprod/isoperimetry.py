@@ -34,7 +34,7 @@ ENTROPY_FLOOR = 1e-11
 CHAIN_REL_TOL = 0.02
 
 
-def _scannable(graph_or_product) -> WeightedGraph:
+def scannable(graph_or_product) -> WeightedGraph:
     """The graph, a product materialized, once its vertices are known to
     be few enough for the exhaustive scan."""
     is_product = isinstance(graph_or_product, ProductGraph)
@@ -192,7 +192,7 @@ def _lex_min(masks: np.ndarray) -> int:
 def conductance_bruteforce(graph_or_product):
     """Exact conductance with a witness set (lexicographically smallest
     among the minimizers).  Limited to 25 vertices."""
-    graph = _scannable(graph_or_product)
+    graph = scannable(graph_or_product)
     candidates = _subset_scan(graph)
     ratios = cut_ratios(graph, candidates)
     best = ratios.min()
@@ -344,7 +344,7 @@ def chain_check(graph_or_product, *, seed: int = 0) -> ChainReport:
     the first comparison to absorb estimator slack.  Both witnesses ride
     along: the conductance set reproduces phi and the log-Sobolev
     function reproduces alpha_hat."""
-    graph = _scannable(graph_or_product)
+    graph = scannable(graph_or_product)
     est = log_sobolev_estimate(graph, seed=seed)
     return _chain_report(est, graph.basis.lambda1, conductance_bruteforce(graph))
 

@@ -251,16 +251,8 @@ class LocalDistributions:
     level: int
     tables: dict
 
-    def table(self, subset) -> dict:
-        return self.tables[tuple(sorted(subset))]
-
     def subsets(self):
         return sorted(self.tables.keys())
-
-    def marginal(self, subset, onto) -> dict:
-        subset = tuple(sorted(subset))
-        return _project(self.tables[subset],
-                        [subset.index(v) for v in sorted(onto)])
 
     def check_tables(self):
         for subset, table in self.tables.items():

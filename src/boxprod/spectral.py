@@ -69,12 +69,6 @@ def eigendecompose(graph: WeightedGraph) -> SpectralBasis:
     return SpectralBasis(eigenvalues=evals, eigenfunctions=funcs)
 
 
-def product_eigenvalue(basis: SpectralBasis, idx) -> float:
-    """Eigenvalue of a tensor eigenfunction: mean of coordinate values."""
-    lam = basis.eigenvalues
-    return float(np.mean([lam[i] for i in idx]))
-
-
 @dataclass(frozen=True, eq=False)
 class FourierCoefficients:
     """Dense coefficient tensor indexed by spectral multi-indices of the
@@ -85,10 +79,6 @@ class FourierCoefficients:
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-
-    def energy(self) -> float:
-        """Sum of squared coefficients (equals the squared 2-norm)."""
-        return float(np.sum(self.coeffs * self.coeffs))
 
     def multi_eigenvalues(self) -> np.ndarray:
         """Tensor of product eigenvalues aligned with the coefficients."""
@@ -167,12 +157,6 @@ class Decomposition:
 
     constant: FunctionTable
     parts: tuple
-
-    def reconstruct(self) -> np.ndarray:
-        total = self.constant.values.copy()
-        for part in self.parts:
-            total = total + part.values
-        return total
 
 
 def decompose(f: FunctionTable) -> Decomposition:

@@ -2,11 +2,13 @@
 
 The oracles here deliberately avoid the library's optimized paths:
 conductance by itertools subset enumeration of the set formula,
-coordinate variance by explicit conditional means, and component
-functions by dense centering/averaging instead of the spectral filter.
+coordinate variance by explicit conditional means, component
+functions by dense centering/averaging instead of the spectral filter,
+and product edges by enumerating tuple pairs.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -89,3 +91,26 @@ def naive_component(f, j, order=None):
 
 def product_pi(f):
     return f.product.pi_product()
+
+
+def naive_product_edges(base, k):
+    """Edges of the k-th power by its definition, as {(a, b): mass} over
+    flat indices a < b (``itertools.product`` lists the tuples in flat
+    order): x and y are joined when they form a base edge e in one
+    coordinate and agree in all others, with mass mu(e)/k times the
+    product of pi over the shared coordinates."""
+    mu = {(int(u), int(v)): float(w)
+          for u, v, w in zip(base.edge_u, base.edge_v, base.edge_w)}
+    tuples = list(itertools.product(range(base.n), repeat=k))
+    edges = {}
+    for a, b in itertools.combinations(range(len(tuples)), 2):
+        x, y = tuples[a], tuples[b]
+        diff = [j for j in range(k) if x[j] != y[j]]
+        if len(diff) != 1:
+            continue
+        j = diff[0]
+        pair = (min(x[j], y[j]), max(x[j], y[j]))
+        if pair in mu:
+            shared = math.prod(float(base.pi[x[i]]) for i in range(k) if i != j)
+            edges[(a, b)] = mu[pair] / k * shared
+    return edges

@@ -97,9 +97,10 @@ def test_criterion_04_lemma_suite():
             parts_norm = sum(p.norm2_sq() for p in dec.parts)
             if abs(parts_norm - var) > 1e-9:
                 violations += 1
+            pi = prod.pi_product()
             for a in range(k):
                 for b in range(a + 1, k):
-                    if abs(dec.parts[a].inner(dec.parts[b])) > 1e-9:
+                    if abs(pi @ (dec.parts[a].values * dec.parts[b].values)) > 1e-9:
                         violations += 1
             for j, part in enumerate(dec.parts):
                 vj = f.variance_along(j)

@@ -645,8 +645,16 @@ def test_max_dense_caps_the_isoperimetry_product(monkeypatch, capsys):
      "junta extraction requires a {-1,+1}-valued function"),
     (["friedgut", "--builtin", "path:3", "--k", "2", "--epsilon", "2"],
      "epsilon must lie in (0, 1)"),
+    # a base beyond the conductance scan is refused before the descent too
+    (["friedgut", "--builtin", "cycle:30", "--k", "2", "--fn", "dictator"],
+     "30 vertices is beyond exhaustive enumeration; "
+     "use conductance_functional on candidate cuts instead"),
+    (["friedgut", "--builtin", "necklace:9", "--k", "2", "--fn", "dictator"],
+     "58 vertices is beyond exhaustive enumeration; "
+     "use conductance_functional on candidate cuts instead"),
 ], ids=["kkl-k1", "kkl-non-boolean", "friedgut-non-boolean", "kkl-k1-path",
-        "kkl-non-boolean-path", "friedgut-non-boolean-path", "friedgut-epsilon-path"])
+        "kkl-non-boolean-path", "friedgut-non-boolean-path", "friedgut-epsilon-path",
+        "friedgut-cycle30", "friedgut-necklace9"])
 def test_influence_input_errors_exit_one(argv, message, tmp_path, monkeypatch, capsys):
     # only a constant function is a failed influence_report check (exit 2)
     from boxprod import cli

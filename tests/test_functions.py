@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import boxprod as bp
 from boxprod import functions
-from conftest import naive_component, naive_variance_along
+from boxprod.functions import function_to_dict, load_function
+from boxprod.graphs import entropy_sq, write_json
+from conftest import naive_component, naive_variance_along, product_pi
 
 
 def test_dictator_variances(k2):
@@ -41,10 +43,7 @@ def test_variance_along_two_routes(k3, p3):
         for _ in range(20):
             f = bp.from_values(prod, rng.standard_normal(9))
             for j in range(2):
-                conditional = f.variance_along(j)
-                form = f.centering_form(j)
-                assert math.isclose(conditional, form, abs_tol=1e-12)
-                assert math.isclose(conditional, naive_variance_along(f, j),
+                assert math.isclose(f.variance_along(j), naive_variance_along(f, j),
                                     abs_tol=1e-12)
 
 
@@ -52,21 +51,22 @@ def test_boolean_entropy_is_zero(k2):
     prod = bp.cartesian_power(k2, 3)
     rng = np.random.default_rng(1)
     f = bp.random_boolean(prod, rng)
-    assert f.entropy_sq() == 0.0
+    assert entropy_sq(product_pi(f), f.values) == 0.0
 
 
 def test_entropy_point_mass(k2):
     prod = bp.cartesian_power(k2, 1)
     f = bp.from_values(prod, [math.sqrt(2.0), 0.0])
-    assert math.isclose(f.entropy_sq(), math.log(2.0), abs_tol=1e-12)
+    assert math.isclose(entropy_sq(product_pi(f), f.values), math.log(2.0),
+                        abs_tol=1e-12)
 
 
 def test_entropy_scaling_identity(k3):
     prod = bp.cartesian_power(k3, 2)
     rng = np.random.default_rng(2)
     f = bp.from_values(prod, rng.standard_normal(9))
-    scaled = f.with_values(3.0 * f.values)
-    assert math.isclose(scaled.entropy_sq(), 9.0 * f.entropy_sq(),
+    pi = product_pi(f)
+    assert math.isclose(entropy_sq(pi, 3.0 * f.values), 9.0 * entropy_sq(pi, f.values),
                         rel_tol=1e-12)
 
 
@@ -113,10 +113,11 @@ def test_decompose_invariants_random_boolean(k3):
         dec = bp.decompose(f)
         total = sum(part.norm2_sq() for part in dec.parts)
         assert math.isclose(total, f.variance(), abs_tol=1e-9)
+        pi = product_pi(f)
         for a in range(2):
             for b in range(a + 1, 2):
-                assert abs(dec.parts[a].inner(dec.parts[b])) < 1e-9
-        recon = dec.reconstruct()
+                assert abs(pi @ (dec.parts[a].values * dec.parts[b].values)) < 1e-9
+        recon = dec.constant.values + sum(part.values for part in dec.parts)
         assert np.allclose(recon, f.values, atol=1e-9)
 
 
@@ -190,9 +191,7 @@ def test_function_json_roundtrip(tmp_path, k2):
     prod = bp.cartesian_power(k2, 3)
     f = bp.dictator(prod, 1)
     path = tmp_path / "f.json"
-    from boxprod.functions import load_function, save_function
-
-    save_function(f, path)
+    write_json(function_to_dict(f), path)
     loaded = load_function(path, prod)
     assert np.array_equal(loaded.values, f.values)
 

@@ -34,8 +34,14 @@ def test_necklace_class_counts(r, expected):
 
 
 def test_necklace_measures_consistent():
+    # 2 pi(v) = sum_u mu({u,v}) and the edge masses sum to one
     for r in (3, 4, 5, 8):
-        assert bp.validate_measures(bp.build_necklace(r)).passed
+        g = bp.build_necklace(r)
+        row = np.zeros(g.n)
+        np.add.at(row, g.edge_u, g.edge_w)
+        np.add.at(row, g.edge_v, g.edge_w)
+        assert np.allclose(row, 2.0 * g.pi, rtol=0.0, atol=1e-12)
+        assert math.isclose(g.edge_w.sum(), 1.0, abs_tol=1e-12)
 
 
 def test_necklace3_structure():
@@ -54,11 +60,11 @@ def test_necklace_rejects_extremes():
 
 
 def test_qary_cube_matches_square(k2):
-    prod = bp.build_qary_cube(2, 3)
-    direct = bp.cartesian_power(k2, 3)
-    assert prod.num_vertices == direct.num_vertices
-    dense_a = prod.to_weighted_graph()
-    dense_b = direct.to_weighted_graph()
+    # K2^3 is the 3-cube: strings joined when they differ in one bit
+    dense_a = bp.cartesian_power(k2, 3).to_weighted_graph()
+    dense_b = bp.build_graph(8, [(s, s ^ (1 << b), 1.0)
+                                 for s in range(8) for b in range(3) if s < s ^ (1 << b)])
+    assert dense_a.n == dense_b.n == 8
     assert np.allclose(dense_a.pi, dense_b.pi)
     assert np.allclose(
         bp.eigendecompose(dense_a).eigenvalues,

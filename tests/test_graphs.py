@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 import boxprod as bp
+from conftest import naive_product_edges
+
+# a weighted 4-vertex graph, edges given out of order and reversed
+WEIGHTED4 = {"n": 4, "edges": [[3, 0, 1.3], [2, 1, 3.0], [1, 0, 1.0], [2, 3, 0.7]]}
 
 
 def test_k2_measures(k2):
@@ -71,21 +75,6 @@ def test_isolated_vertices_are_counted(n, edges, message):
     assert str(info.value) == f"graph is disconnected; components: {message}"
 
 
-def test_validate_measures_passes_on_built(p3):
-    report = bp.validate_measures(p3)
-    assert report.passed
-    assert report.residuals.max() == 0.0
-
-
-def test_validate_measures_flags_corruption(p3):
-    bad = bp.WeightedGraph(n=p3.n, edge_u=p3.edge_u.copy(),
-                           edge_v=p3.edge_v.copy(), edge_w=p3.edge_w.copy(),
-                           pi=np.array([0.3, 0.5, 0.25]))
-    report = bp.validate_measures(bad)
-    assert not report.passed
-    assert report.worst_vertex == 0
-
-
 def test_laplacian_quadratic_form_matches_edge_sum(k3, c5):
     rng = np.random.default_rng(0)
     for g in (k3, c5):
@@ -99,14 +88,22 @@ def test_power_one_is_identical(p3):
     prod = bp.cartesian_power(p3, 1)
     dense = prod.to_weighted_graph()
     assert dense is p3
-    assert prod.product_edge_mass((0,), (1,)) == p3.edge_mass(0, 1)
+    eu, ev, ew = prod.dense_edges()
+    assert (eu.tolist(), ev.tolist(), ew.tolist()) == (
+        p3.edge_u.tolist(), p3.edge_v.tolist(), p3.edge_w.tolist())
 
 
 def test_k2_square_adjacency(k2):
     prod = bp.cartesian_power(k2, 2)
-    assert prod.product_edge_mass((0, 0), (0, 1)) == 0.25
-    assert prod.product_edge_mass((0, 0), (1, 0)) == 0.25
-    assert prod.product_edge_mass((0, 0), (1, 1)) == 0.0
+    eu, ev, ew = prod.dense_edges()
+    masses = dict(zip(zip(eu.tolist(), ev.tolist()), ew.tolist()))
+
+    def flat(*pair):
+        return tuple(int(np.ravel_multi_index(t, prod.shape)) for t in pair)
+
+    # the four sides of the square, each of mass 1/4; no diagonal
+    assert masses == {flat((0, 0), (0, 1)): 0.25, flat((0, 0), (1, 0)): 0.25,
+                      flat((0, 1), (1, 1)): 0.25, flat((1, 0), (1, 1)): 0.25}
 
 
 def test_k3_square_degrees(k3):
@@ -129,32 +126,44 @@ def test_dense_edges_run_from_lower_to_higher_index(k3, tmp_path):
     # base edges have u < v and both ends of a product edge share the offset
     # of the other coordinates, so the materialized product needs no swap
     path = tmp_path / "w.json"
-    path.write_text(json.dumps({"n": 4, "edges": [[3, 0, 1.3], [2, 1, 3.0],
-                                                  [1, 0, 1.0], [2, 3, 0.7]]}))
+    path.write_text(json.dumps(WEIGHTED4))
     for g, k in ((k3, 3), (bp.named_graph("necklace:5"), 2), (bp.load_graph(path), 3)):
         eu, ev, _ = bp.cartesian_power(g, k).dense_edges()
         assert len(eu) == k * g.num_edges * g.n ** (k - 1)
         assert np.all(eu < ev)
 
 
+def test_dense_edges_match_the_product_definition(k3, p3, c5):
+    cases = [(k3, 2), (p3, 3), (c5, 2), (bp.named_graph("necklace:5"), 2),
+             (bp.graph_from_dict(WEIGHTED4), 3)]
+    for g, k in cases:
+        eu, ev, ew = bp.cartesian_power(g, k).dense_edges()
+        dense = dict(zip(zip(eu.tolist(), ev.tolist()), ew.tolist()))
+        naive = naive_product_edges(g, k)
+        assert len(dense) == len(eu)
+        assert dense.keys() == naive.keys()
+        for edge, mass in naive.items():
+            assert math.isclose(dense[edge], mass, rel_tol=1e-14, abs_tol=0.0)
+
+
 def test_product_measure_consistency(p3):
+    # 2 pi(v) = sum_u mu({u,v}) between the product's vertex and edge measures
     for g, k in [(p3, 2), (p3, 3)]:
-        dense = bp.cartesian_power(g, k).to_weighted_graph()
-        assert bp.validate_measures(dense).passed
+        prod = bp.cartesian_power(g, k)
+        eu, ev, ew = prod.dense_edges()
+        row = np.zeros(prod.num_vertices)
+        np.add.at(row, eu, ew)
+        np.add.at(row, ev, ew)
+        assert np.allclose(row, 2.0 * prod.pi_product(), rtol=0.0, atol=1e-15)
 
 
 def test_product_pi_is_product(p3):
-    prod = bp.cartesian_power(p3, 2)
-    dense = prod.to_weighted_graph()
-    expected = np.kron(p3.pi, p3.pi)
-    assert np.allclose(dense.pi, expected, atol=1e-15)
-    assert np.allclose(prod.pi_product(), expected, atol=1e-15)
-
-
-def test_index_tuple_roundtrip(k3):
-    prod = bp.cartesian_power(k3, 3)
-    for flat in range(prod.num_vertices):
-        assert prod.index_of(prod.tuple_of(flat)) == flat
+    for k in (2, 3):
+        prod = bp.cartesian_power(p3, k)
+        dense = prod.to_weighted_graph()
+        expected = _kron_chain(p3.pi, k)
+        assert np.allclose(dense.pi, expected, atol=1e-15)
+        assert np.allclose(prod.pi_product(), expected, atol=1e-15)
 
 
 def test_dense_cap_enforced(k2):

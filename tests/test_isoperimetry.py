@@ -57,7 +57,7 @@ def test_phi_refuses_large_graphs(k2, c5, monkeypatch):
             bp.conductance_bruteforce(bp.cartesian_power(k2, k))
     monkeypatch.undo()
     # the 25 vertices of C5^2 are still scanned
-    assert iso._scannable(bp.cartesian_power(c5, 2)).n == 25
+    assert iso.scannable(bp.cartesian_power(c5, 2)).n == 25
 
 
 def test_chain_check_refuses_a_large_graph_before_the_descent(k3, monkeypatch):

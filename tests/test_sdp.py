@@ -156,8 +156,8 @@ def test_sa_lift_exact_cut(k2):
         ld, sol, prod)
     assert marginal_gap <= 1e-9
     assert vector_gap <= 1e-9
-    for tup in [prod.tuple_of(i) for i in range(4)]:
-        table = lifted_ld.table((tup,))
+    for tup in itertools.product(range(2), repeat=2):
+        table = lifted_ld.tables[(tup,)]
         assert math.isclose(table[(1,)], 0.5, abs_tol=1e-12)
         assert math.isclose(table[(-1,)], 0.5, abs_tol=1e-12)
 
@@ -170,7 +170,7 @@ def test_sa_lift_collapsed_coordinates(k2):
     lifted_ld, _, _, _ = bp.lift_sherali_adams(ld, sol, prod)
     # (0,0) and (0,1) share coordinate 0; that mixture component is a
     # point-mass correlation, so the pair table has extreme diagonal mass
-    table = lifted_ld.table(((0, 0), (0, 1)))
+    table = lifted_ld.tables[((0, 0), (0, 1))]
     agree = table[(1, 1)] + table[(-1, -1)]
     assert agree >= 0.5 - 1e-12
 
@@ -183,9 +183,10 @@ def test_sa_lift_gram_identity(k2):
     _, lifted_sol, _, _ = bp.lift_sherali_adams(ld, sol, prod)
     gram = sol.gram()
     lifted_gram = lifted_sol.gram()
-    for i in range(4):
-        for j in range(4):
-            ti, tj = prod.tuple_of(i), prod.tuple_of(j)
+    # itertools.product lists the tuples in flat order
+    tuples = list(itertools.product(range(2), repeat=2))
+    for i, ti in enumerate(tuples):
+        for j, tj in enumerate(tuples):
             want = np.mean([gram[a, b] for a, b in zip(ti, tj)])
             assert math.isclose(lifted_gram[i, j], want, abs_tol=1e-12)
 
@@ -240,9 +241,8 @@ def test_parity_projection_examples():
     assert bp.parity_projection([(0, 0)], 0) == frozenset({0})
 
 
-def test_parity_projection_commutes_with_delta(k2):
-    prod = bp.cartesian_power(k2, 2)
-    vertices = [prod.tuple_of(i) for i in range(4)]
+def test_parity_projection_commutes_with_delta():
+    vertices = list(itertools.product(range(2), repeat=2))
     for s1 in itertools.combinations(vertices, 2):
         for s2 in itertools.combinations(vertices, 2):
             delta = set(s1) ^ set(s2)
@@ -295,7 +295,7 @@ def test_lasserre_singleton_objective_scaling(k2):
     base_vecs = np.stack([ls.vectors[(v,)] for v in range(2)])
     base_obj = bp.SdpSolution(vectors=base_vecs).objective(k2)
     lifted_vecs = np.stack([
-        lifted.vectors[tuple(sorted((prod.tuple_of(i),)))] for i in range(4)
+        lifted.vectors[(tup,)] for tup in itertools.product(range(2), repeat=2)
     ])
     lifted_obj = bp.SdpSolution(vectors=lifted_vecs).objective(dense)
     assert math.isclose(lifted_obj, base_obj / 2.0, abs_tol=1e-9)
@@ -324,7 +324,7 @@ def test_sdp_file_roundtrip(tmp_path, k2):
     ld = bp.sa_from_distribution(dist, 2, 2)
     ld2 = sa_from_dict(sa_to_dict(ld), 2)
     assert ld2.level == 2
-    assert ld2.table((0, 1)) == ld.table((0, 1))
+    assert ld2.tables[(0, 1)] == ld.tables[(0, 1)]
     ls = bp.lasserre_from_distribution(dist, 2, 2)
     ls2 = lasserre_from_dict(lasserre_to_dict(ls), 2)
     assert set(ls2.vectors) == set(ls.vectors)
@@ -425,13 +425,18 @@ def test_family_without_a_sub_set_refused(monkeypatch, k2):
 def _marginal_gap_loop(ld, nested=False):
     """Max disagreement of the marginals of tables meeting in a nonempty C;
     with ``nested``, only of the pairs where C is one of the two sets."""
+    from boxprod.sdp import _project
+
+    def marginal(subset, onto):
+        return _project(ld.tables[subset], [subset.index(v) for v in onto])
+
     worst = 0.0
     for t1, t2 in itertools.combinations(ld.subsets(), 2):
         common = tuple(sorted(set(t1) & set(t2)))
         if not common or nested and len(common) < min(len(t1), len(t2)):
             continue
-        m1 = ld.marginal(t1, common)
-        m2 = ld.marginal(t2, common)
+        m1 = marginal(t1, common)
+        m2 = marginal(t2, common)
         for key in set(m1) | set(m2):
             worst = max(worst, abs(m1.get(key, 0.0) - m2.get(key, 0.0)))
     return worst
@@ -607,7 +612,8 @@ def test_lifted_vector_gap_equals_pairwise_loop(seed, k2, k3):
         lifted, lifted_sol, _, gap = bp.lift_sherali_adams(
             ld, _unit_vectors(rng, base.n, 3), prod)
         assert gap > 0.0
-        assert gap == _vector_gap_loop(lifted, lifted_sol, prod.index_of)
+        assert gap == _vector_gap_loop(
+            lifted, lifted_sol, lambda t: int(np.ravel_multi_index(t, prod.shape)))
 
 
 # -- the set cap of both lifts --------------------------------------------------

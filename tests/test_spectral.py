@@ -47,10 +47,11 @@ def test_generalized_eigen_residual(c5):
 
 
 def test_product_eigenvalue_averages(k2):
-    basis = bp.eigendecompose(k2)
-    assert bp.product_eigenvalue(basis, (0, 0)) == 0.0
-    assert math.isclose(bp.product_eigenvalue(basis, (1, 0)), 1.0, abs_tol=1e-12)
-    assert math.isclose(bp.product_eigenvalue(basis, (1, 1)), 2.0, abs_tol=1e-12)
+    # the weights of spectral.component_energies: mean coordinate eigenvalue
+    prod = bp.cartesian_power(k2, 2)
+    lam = bp.fourier_transform(bp.dictator(prod, 0)).multi_eigenvalues()
+    assert lam[0, 0] == 0.0
+    assert np.allclose(lam, [[0.0, 1.0], [1.0, 2.0]], rtol=0.0, atol=1e-12)
 
 
 def test_dictator_fourier_support(k2):
@@ -85,7 +86,8 @@ def test_transform_roundtrip_and_parseval(k3):
         coeffs = bp.fourier_transform(f)
         back = bp.inverse_transform(coeffs)
         assert np.allclose(back.values, f.values, atol=1e-9)
-        assert math.isclose(coeffs.energy(), f.norm2_sq(), abs_tol=1e-9)
+        assert math.isclose(float(np.sum(coeffs.coeffs ** 2)), f.norm2_sq(),
+                            abs_tol=1e-9)
 
 
 def test_dictator_directional_forms(k2):
