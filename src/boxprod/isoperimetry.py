@@ -4,9 +4,11 @@ Conductance is computed exactly: a meet-in-the-middle scan of the
 proper vertex subsets keeps the near-minimal candidates, and one
 canonical formula, applied to the candidates in a batch, picks the
 minimum and its witness, so the witness always reproduces the reported
-value.  The log-Sobolev constant is estimated from above by
-multi-start projected descent of the ratio 2*energy / entropy on the
-unit sphere of the vertex measure.
+value.  The log-Sobolev constant is estimated by multi-start projected
+descent of the ratio 2*energy / entropy on the unit sphere of the vertex
+measure.  In exact arithmetic the ratio of any function bounds the
+constant from above; computed in floats it can fall below it (1.99998
+on K2, whose constant is 2), so the estimate is not a certified bound.
 """
 
 from __future__ import annotations
@@ -216,8 +218,8 @@ def conductance_functional(graph: WeightedGraph, f: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LogSobolevEstimate:
-    """Best found ratio (an upper bound on the true constant), its witness
-    and the number of descent starts."""
+    """Best found ratio (in floats, so possibly below the true constant),
+    its witness and the number of descent starts."""
 
     alpha_hat: float
     witness: np.ndarray
@@ -227,38 +229,51 @@ class LogSobolevEstimate:
         self.witness.setflags(write=False)
 
 
-def _pi_dots(pi: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``pi @ row`` of each row, bit for bit as for a single vector."""
-    return np.matmul(rows[:, None, :], pi[:, None])[:, 0, 0]
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``row @ other`` of each row, against one vector or the matching
+    row of ``other``, bit for bit as for single vectors."""
+    return np.matmul(rows[:, None, :], other[..., None])[:, 0, 0]
 
 
 def _lockstep_descent(graph, starts):
     """Projected descent of 2*energy/entropy from each row of ``starts``,
     in lockstep and bit for bit as from each start alone (see README).
-    Returns each row's final ratio (inf where its start's entropy is below
+    Each row's step is the Barzilai-Borwein step s.y / y.y of its last
+    accepted move s and the gradient change y over it, or its last step
+    times 1.25 where that ratio is not finite and positive.  Returns each
+    row's final ratio (inf where its start's entropy is below
     ENTROPY_FLOOR) and function."""
     pi = graph.pi
-    f = starts / np.sqrt(_pi_dots(pi, starts * starts))[:, None]
+    f = starts / np.sqrt(_row_dots(starts * starts, pi))[:, None]
     energy, ent = graph.dirichlet(f), graph.entropy_sq(f)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ent >= ENTROPY_FLOOR, 2.0 * energy / ent, np.inf)
     live = ent >= ENTROPY_FLOOR
     step = np.full(len(f), 0.1)
     iters, tries = np.zeros((2, len(f)), dtype=np.int64)
-    grad = np.empty_like(f)
+    # each row's gradient and last accepted move; a row that has not
+    # moved has s = 0, so s.y = 0 keeps its step
+    grad, move = np.zeros_like(f), np.zeros_like(f)
     moved = np.flatnonzero(live)
     while live.any():
         if len(moved):
             g, f2 = f[moved], f[moved] * f[moved]
             # libm's log: np.log may round differently
-            log_n2 = np.array([math.log(x) for x in _pi_dots(pi, f2).tolist()])
+            log_n2 = np.array([math.log(x) for x in _row_dots(f2, pi).tolist()])
             grad_energy = 2.0 * np.matmul(graph.laplacian, g[:, :, None])[:, :, 0]
             grad_ent = 2.0 * pi * g * (log0(f2) - log_n2[:, None])
-            e, s = energy[moved, None], ent[moved, None]
-            grad[moved] = (2.0 * grad_energy * s - 2.0 * e * grad_ent) / (s * s)
+            e, h = energy[moved, None], ent[moved, None]
+            new = (2.0 * grad_energy * h - 2.0 * e * grad_ent) / (h * h)
+            y = new - grad[moved]
+            sy = _row_dots(move[moved], y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bb = sy / _row_dots(y, y)
+            bb_ok = (sy > 0.0) & np.isfinite(bb)
+            step[moved[bb_ok]] = bb[bb_ok]
+            grad[moved] = new
         rows = np.flatnonzero(live)
         cand = f[rows] - step[rows, None] * grad[rows]
-        cand /= np.sqrt(_pi_dots(pi, cand * cand))[:, None]
+        cand /= np.sqrt(_row_dots(cand * cand, pi))[:, None]
         c_energy, c_ent = graph.dirichlet(cand), graph.entropy_sq(cand)
         with np.errstate(divide="ignore", invalid="ignore"):
             c_ratio = 2.0 * c_energy / c_ent
@@ -268,6 +283,7 @@ def _lockstep_descent(graph, starts):
         tries[failed] += 1
         live[failed[tries[failed] == 60]] = False
         rel = (ratio[moved] - c_ratio[ok]) / np.maximum(np.abs(ratio[moved]), 1e-30)
+        move[moved] = cand[ok] - f[moved]
         f[moved], ratio[moved] = cand[ok], c_ratio[ok]
         energy[moved], ent[moved] = c_energy[ok], c_ent[ok]
         step[moved] *= 1.25
@@ -281,8 +297,10 @@ def _lockstep_descent(graph, starts):
 def log_sobolev_estimate(graph: WeightedGraph, *,
                          seed: int = 0) -> LogSobolevEstimate:
     """Multi-start projected descent of 2*energy/entropy over the unit
-    sphere.  The result certifies an upper bound on the log-Sobolev
-    constant through its stored witness."""
+    sphere.  The witness reproduces ``alpha_hat``.  Its exact ratio bounds
+    the log-Sobolev constant from above, but the float ratio can fall
+    below the constant where the entropy cancels near the constant
+    function: 1.99998 on K2, whose constant is 2."""
     if graph.n > LS_MAX_VERTICES:
         raise ValueError(
             f"log-Sobolev estimation is limited to n <= {LS_MAX_VERTICES}")

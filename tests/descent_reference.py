@@ -1,6 +1,6 @@
-"""The log-Sobolev descent of one start at a time, as the estimator ran
-it before its starts advanced in lockstep, and the saved results of its
-slow cases.
+"""The log-Sobolev descent of one start at a time, the rule the lockstep
+estimator must follow row by row, and the saved results of its slow
+cases.
 
 ``tests/test_isoperimetry.py`` compares the lockstep estimator with this
 reference bit for bit: live on the cheap graphs, and against
@@ -46,8 +46,8 @@ def reference_entropy(pi, f):
 
 
 def reference_descend(graph, f0):
-    """The descent of one start, as the estimator ran each start before
-    its starts advanced in lockstep."""
+    """The descent of one start: Barzilai-Borwein steps, each halved until
+    the ratio drops, under the estimator's stopping rules."""
     pi = graph.pi
     f = f0 / math.sqrt(float(pi @ (f0 * f0)))
     energy, ent = reference_energy(graph, f), reference_entropy(pi, f)
@@ -56,13 +56,23 @@ def reference_descend(graph, f0):
     ratio = 2.0 * energy / ent
     lap = graph.laplacian
     step = 0.1
+    move = grad = None
     for _ in range(iso.LS_MAX_ITERS):
         f2 = f * f
         log_f2 = np.zeros_like(f2)
         log_f2[f2 > 0.0] = np.log(f2[f2 > 0.0])
         grad_energy = 2.0 * (lap @ f)
         grad_ent = 2.0 * pi * f * (log_f2 - math.log(float(pi @ f2)))
-        grad = (2.0 * grad_energy * ent - 2.0 * energy * grad_ent) / (ent * ent)
+        new = (2.0 * grad_energy * ent - 2.0 * energy * grad_ent) / (ent * ent)
+        if move is not None:
+            # Barzilai-Borwein step of the last accepted move
+            y = new - grad
+            sy = move @ y
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bb = sy / (y @ y)
+            if sy > 0.0 and np.isfinite(bb):
+                step = bb
+        grad = new
         accepted = False
         for _ in range(60):
             cand = f - step * grad
@@ -76,6 +86,7 @@ def reference_descend(graph, f0):
             break
         new_ratio = 2.0 * c_energy / c_ent
         rel = (ratio - new_ratio) / max(abs(ratio), 1e-30)
+        move = cand - f
         f, ratio, energy, ent = cand, new_ratio, c_energy, c_ent
         step *= 1.25
         if rel < iso.LS_TOL:
