@@ -20,7 +20,7 @@ from .isoperimetry import (ChainReport, LogSobolevEstimate, ScalingReport,
 from .sdp import (LocalDistributions, SdpSolution, SetVectorSolution,
                   basic_sdp_opt, check_triangle, lasserre_from_distribution,
                   lift_lasserre, lift_sherali_adams, lift_vectors,
-                  parity_projection, random_cut_combination,
+                  random_cut_combination,
                   random_feasible_sdp, sa_from_distribution,
                   uniform_cut_distribution, vectors_from_distribution,
                   vectors_from_local_tables)

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# parsing leaves the parser as it was, so one serves every run of the process
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="analyze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -362,17 +362,22 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
     _require_liftable(base_n, 1, ld.level, k)
     # one listing of the vertices serves the family and the direct sum
     vertices = _product_vertices(product)
-    tables = {}
-    for subset in _subsets(vertices, 1, ld.level):
-        table: dict = {}
-        for j in range(k):
-            collapsed = tuple(sorted({x[j] for x in subset}))
-            # pos hits every slot of collapsed, so the projection sums
+    tables = {subset: {} for subset in _subsets(vertices, 1, ld.level)}
+    for j in range(k):
+        # the j-th coordinates of a set, in its order, fix the table it reads
+        # and the slots it reads them into; many sets share them
+        sharing: dict = {}
+        for subset, table in tables.items():
+            sharing.setdefault(tuple(x[j] for x in subset), []).append(table)
+        for column, members in sharing.items():
+            collapsed = tuple(sorted(set(column)))
+            # the slots hit every vertex of collapsed, so the projection sums
             # nothing and p / k is added once per coordinate
-            pos = [collapsed.index(x[j]) for x in subset]
+            pos = [collapsed.index(v) for v in column]
             for key, p in _project(ld.tables[collapsed], pos).items():
-                table[key] = table.get(key, 0.0) + p / k
-        tables[subset] = table
+                q = p / k
+                for table in members:
+                    table[key] = table.get(key, 0.0) + q
     lifted_ld = LocalDistributions(level=ld.level, tables=tables)
     lifted_sol = SdpSolution(vectors=_direct_sum(sol.vectors, np.array(vertices)))
 
@@ -400,13 +405,13 @@ class SetVectorSolution:
         """Max inner-product spread within a symmetric-difference class;
         equivalent to checking every quadruple with equal differences.
 
-        The pairs are taken in blocks of rows against the rows from the
-        block on: the pair (j, i) repeats the class and, bit for bit, the
-        value of (i, j).  ``np.vecdot`` runs the inner loop of ``np.dot``,
-        so every value equals the per-pair ``np.dot`` exactly; a GEMM Gram
-        would not.  Each block is reduced to per-class extremes, and the
-        reductions are merged once they hold as many classes as the merged
-        result.
+        The rows are taken in blocks. A block is paired with itself, each
+        unordered pair once, and then with every row after it: the pair
+        (j, i) would repeat the class and, bit for bit, the value of (i, j).
+        ``np.vecdot`` runs the inner loop of ``np.dot``, so every value
+        equals the per-pair ``np.dot`` exactly; a GEMM Gram would not.  Each
+        block is reduced to per-class extremes, and the reductions are
+        merged once they hold as many classes as the merged result.
         """
         keys = self.subsets()
         vecs = np.stack([self.vectors[s] for s in keys])
@@ -415,9 +420,14 @@ class SetVectorSolution:
         rows = max(1, VERIFY_BLOCK_ENTRIES // len(keys))
         parts = []
         for r0 in range(0, len(keys), rows):
-            dots = np.vecdot(vecs[r0:r0 + rows, None, :], vecs[None, r0:, :]).ravel()
-            delta = words[r0:r0 + rows, None, :] ^ words[None, r0:, :]
-            parts.append(_class_extremes(delta.reshape(-1, words.shape[1]), dots, dots))
+            r1 = min(r0 + rows, len(keys))
+            i, j = np.triu_indices(r1 - r0)
+            dots = np.vecdot(vecs[r0:r1, None, :], vecs[None, r0:r1, :])[i, j]
+            parts.append(_class_extremes(words[r0 + i] ^ words[r0 + j], dots, dots))
+            if r1 < len(keys):
+                dots = np.vecdot(vecs[r0:r1, None, :], vecs[None, r1:, :]).ravel()
+                delta = words[r0:r1, None, :] ^ words[None, r1:, :]
+                parts.append(_class_extremes(delta.reshape(-1, words.shape[1]), dots, dots))
             if len(parts) > 1 and sum(len(p[1]) for p in parts[1:]) >= len(parts[0][1]):
                 parts = [_class_extremes(*map(np.concatenate, zip(*parts)))]
         _, high, low = _class_extremes(*map(np.concatenate, zip(*parts)))
@@ -438,8 +448,9 @@ def _membership(keys) -> np.ndarray:
 
 def _class_extremes(words, high, low):
     """One row per distinct row of ``words``: the max of ``high`` and the
-    min of ``low`` over the rows equal to it."""
-    order = np.lexsort(words.T)
+    min of ``low`` over the rows equal to it.  A row of one word is its own
+    sort key; wider rows are sorted word by word."""
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
     words = words[order]
     start = np.flatnonzero(np.concatenate(
         ([True], (words[1:] != words[:-1]).any(axis=1))))
@@ -447,13 +458,24 @@ def _class_extremes(words, high, low):
             np.minimum.reduceat(low[order], start))
 
 
-def parity_projection(subset, j: int):
-    """Base vertices appearing an odd number of times among the j-th
-    coordinates of a set of product vertices."""
-    counts: dict = {}
-    for tup in subset:
-        counts[tup[j]] = counts.get(tup[j], 0) + 1
-    return frozenset(v for v, c in counts.items() if c % 2 == 1)
+def _parity_codes(coords: np.ndarray, n: int) -> np.ndarray:
+    """Code of the parity set of each column of ``coords`` (sets x slots x
+    coordinates, empty slots holding n, which is no base vertex): the base
+    vertices met an odd number of times.
+
+    An m-set {v_1 < ... < v_m} gets the number of sets of fewer than m of
+    the n vertices plus its colex rank sum_i C(v_i, i). So distinct sets get
+    distinct codes, each below the number of sets of at most as many
+    vertices as there are slots, a count the set cap bounds."""
+    width = coords.shape[1]
+    coords = np.sort(coords, axis=1)
+    odd = (coords[:, :, None] == coords[:, None, :]).sum(axis=2) % 2 == 1
+    first = np.diff(coords, axis=1, prepend=-1) != 0
+    keep = odd & first & (coords < n)
+    binom = np.array([[math.comb(v, i) for i in range(width + 1)] for v in range(n + 1)])
+    below = np.cumsum([0] + [math.comb(n, m) for m in range(width)])
+    ranked = np.where(keep, binom[coords, np.cumsum(keep, axis=1)], 0)
+    return below[keep.sum(axis=1)] + ranked.sum(axis=1)
 
 
 def lasserre_from_distribution(dist: dict, n: int, level: int) -> SetVectorSolution:
@@ -474,15 +496,25 @@ def lift_lasserre(ls: SetVectorSolution, product: ProductGraph,
     if level > ls.level:
         raise ValueError(
             f"requested level {level} exceeds base solution level {ls.level}")
-    k = product.k
-    _require_liftable(product.base.n, 0, level, k)
+    k, n = product.k, product.base.n
+    _require_liftable(n, 0, level, k)
     # a level-0 family is the empty set alone and lists no vertex
     vertices = _product_vertices(product) if level >= 1 else ()
-    scale = 1.0 / math.sqrt(k)
-    vectors = {subset: np.concatenate([
-        scale * ls.vectors[tuple(sorted(parity_projection(subset, j)))]
-        for j in range(k)]) for subset in _subsets(vertices, 0, level)}
-    return SetVectorSolution(level=level, vectors=vectors)
+    subsets = _subsets(vertices, 0, level)
+    bases = [s for s in ls.vectors if len(s) <= level]
+    # every set padded to ``level`` slots with n, which is no base vertex
+    coords = np.array([s + ((n,) * k,) * (level - len(s)) for s in subsets],
+                      dtype=np.int64)
+    base_coords = np.array([s + (n,) * (level - len(s)) for s in bases], dtype=np.int64)
+    codes = _parity_codes(coords.reshape(len(subsets), level, k), n)
+    base_codes = _parity_codes(base_coords.reshape(len(bases), level, 1), n)[:, 0]
+    order = np.argsort(base_codes)
+    at = order[np.minimum(np.searchsorted(base_codes, codes, sorter=order), len(order) - 1)]
+    if (base_codes[at] != codes).any():
+        raise KeyError("a parity set of the lift has no base vector")
+    base = (1.0 / math.sqrt(k)) * np.stack([ls.vectors[s] for s in bases])
+    return SetVectorSolution(level=level, vectors=dict(zip(
+        subsets, base[at].reshape(len(subsets), -1))))
 
 
 # -- feasible-solution generators and file formats --------------------------------

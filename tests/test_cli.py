@@ -121,6 +121,31 @@ def test_help_returns_zero(command, capsys):
     assert captured.err == ""
 
 
+def test_runs_share_one_parser(monkeypatch, capsys):
+    from boxprod import cli
+
+    used = []
+    parse = cli._Parser.parse_args
+    monkeypatch.setattr(cli._Parser, "parse_args",
+                        lambda self, *args: used.append(self) or parse(self, *args))
+    for argv in (["sdp-lift", "--builtin", "k2", "--k", "2"],
+                 ["kkl", "--builtin", "k2", "--k", "3", "--fn", "dictator"]):
+        assert run(argv) == 0
+    assert len(used) == 2 and used[0] is used[1]
+
+
+def test_shared_parser_keeps_help_and_usage_errors(capsys):
+    argv = ["sdp-lift", "--builtin", "k2", "--k", "2"]
+    assert run(argv) == 0
+    report = capsys.readouterr().out
+    assert run(["sdp-lift", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: analyze sdp-lift [-h]")
+    assert run(["sdp-lift", "--builtin", "k2", "--fn", "dictator"]) == 1
+    assert "unrecognized arguments: --fn" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert capsys.readouterr().out == report
+
+
 def test_io_error_exit_one(capsys):
     assert run(["isoperimetry", "--graph", "/does/not/exist.json"]) == 1
 

@@ -235,10 +235,19 @@ def test_sa_rejects_non_unit_vectors(k2):
         bp.lift_sherali_adams(ld, sol, prod)
 
 
+def parity_projection(subset, j: int):
+    """Base vertices appearing an odd number of times among the j-th
+    coordinates of a set of product vertices."""
+    counts: dict = {}
+    for tup in subset:
+        counts[tup[j]] = counts.get(tup[j], 0) + 1
+    return frozenset(v for v, c in counts.items() if c % 2 == 1)
+
+
 def test_parity_projection_examples():
-    assert bp.parity_projection([(0, 1), (1, 1)], 1) == frozenset()
-    assert bp.parity_projection([(0, 1), (1, 1)], 0) == frozenset({0, 1})
-    assert bp.parity_projection([(0, 0)], 0) == frozenset({0})
+    assert parity_projection([(0, 1), (1, 1)], 1) == frozenset()
+    assert parity_projection([(0, 1), (1, 1)], 0) == frozenset({0, 1})
+    assert parity_projection([(0, 0)], 0) == frozenset({0})
 
 
 def test_parity_projection_commutes_with_delta():
@@ -247,9 +256,9 @@ def test_parity_projection_commutes_with_delta():
         for s2 in itertools.combinations(vertices, 2):
             delta = set(s1) ^ set(s2)
             for j in range(2):
-                lhs = bp.parity_projection(sorted(delta), j)
-                rhs = (bp.parity_projection(s1, j)
-                       ^ bp.parity_projection(s2, j))
+                lhs = parity_projection(sorted(delta), j)
+                rhs = (parity_projection(s1, j)
+                       ^ parity_projection(s2, j))
                 assert lhs == rhs
 
 
@@ -302,8 +311,11 @@ def test_lasserre_singleton_objective_scaling(k2):
 
 
 def test_lasserre_singleton_projection(k2):
-    prod = bp.cartesian_power(k2, 3)
-    assert bp.parity_projection([(0, 1, 1)], 2) == frozenset({1})
+    ls = bp.lasserre_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 1)
+    lifted = bp.lift_lasserre(ls, bp.cartesian_power(k2, 3), 1)
+    assert parity_projection([(0, 1, 1)], 2) == frozenset({1})
+    want = np.concatenate([(1.0 / math.sqrt(3)) * ls.vectors[(v,)] for v in (0, 1, 1)])
+    assert lifted.vectors[((0, 1, 1),)].tolist() == want.tolist()
 
 
 def test_lasserre_level_mismatch(k2):
@@ -567,6 +579,20 @@ def test_delta_gap_near_consistent_vectors(block_entries):
     assert gap == _delta_gap_loop(lifted)
 
 
+def test_delta_gap_over_two_membership_words(block_entries):
+    # every singleton of 70 elements and the pairs of 60..69: the symmetric
+    # differences span two packed words, and classes cross the word boundary
+    from boxprod.sdp import _membership
+
+    rng = np.random.default_rng(3)
+    sets = [()] + [(v,) for v in range(70)] + list(itertools.combinations(range(60, 70), 2))
+    ls = bp.SetVectorSolution(level=2, vectors={s: rng.standard_normal(5) for s in sets})
+    assert _membership(ls.subsets()).shape[1] == 128
+    gap = ls.check_delta_consistency()
+    assert gap > 0.0
+    assert gap == _delta_gap_loop(ls)
+
+
 def _vector_gap_loop(ld, sol, vertex_index):
     gram = sol.gram()
     worst = 0.0
@@ -614,6 +640,72 @@ def test_lifted_vector_gap_equals_pairwise_loop(seed, k2, k3):
         assert gap > 0.0
         assert gap == _vector_gap_loop(
             lifted, lifted_sol, lambda t: int(np.ravel_multi_index(t, prod.shape)))
+
+
+# -- lifts against the per-set loops they replaced ------------------------------
+
+def _product_family(n, k, low, level):
+    vertices = list(itertools.product(range(n), repeat=k))
+    return [s for size in range(low, level + 1)
+            for s in itertools.combinations(vertices, size)]
+
+
+def _sa_lift_loop(ld, n, k):
+    """Lifted tables with one ``_project`` call per set and coordinate."""
+    from boxprod.sdp import _project
+
+    tables = {}
+    for subset in _product_family(n, k, 1, ld.level):
+        table: dict = {}
+        for j in range(k):
+            collapsed = tuple(sorted({x[j] for x in subset}))
+            pos = [collapsed.index(x[j]) for x in subset]
+            for key, p in _project(ld.tables[collapsed], pos).items():
+                table[key] = table.get(key, 0.0) + p / k
+        tables[subset] = table
+    return tables
+
+
+def _lasserre_lift_loop(ls, n, k, level):
+    """Lifted vectors with one parity set per set and coordinate."""
+    scale = 1.0 / math.sqrt(k)
+    return {subset: np.concatenate([
+        scale * ls.vectors[tuple(sorted(parity_projection(subset, j)))]
+        for j in range(k)]) for subset in _product_family(n, k, 0, level)}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sa_lift_tables_equal_the_per_set_loop(seed, k2, k3):
+    # same keys in the same order, and the same bits
+    rng = np.random.default_rng(40 + seed)
+    for base, k, level in ((k2, 3, 3), (k3, 2, 2)):
+        ld = _random_tables(rng, base.n, level)
+        lifted = bp.lift_sherali_adams(ld, _unit_vectors(rng, base.n, 3),
+                                       bp.cartesian_power(base, k))[0]
+        want = _sa_lift_loop(ld, base.n, k)
+        assert [(s, [(a, p.hex()) for a, p in t.items()]) for s, t in lifted.tables.items()] \
+            == [(s, [(a, p.hex()) for a, p in t.items()]) for s, t in want.items()]
+
+
+@pytest.mark.parametrize("graph, k, base_level, level", [
+    ("k2", 3, 3, 3), ("kq:3", 2, 2, 2), ("k2", 3, 3, 2), ("k2", 4, 2, 0),
+    ("k2", 2, 4, 4), ("cycle:70", 1, 2, 2), ("cycle:65", 2, 1, 1)])
+def test_lasserre_lift_vectors_equal_the_per_set_loop(graph, k, base_level, level):
+    # a base of more than 63 vertices too, and a base family above the level
+    base = bp.named_graph(graph)
+    rng = np.random.default_rng(base.n + k)
+    ls = _random_set_vectors(rng, base.n, base_level, 3)
+    lifted = bp.lift_lasserre(ls, bp.cartesian_power(base, k), level)
+    want = _lasserre_lift_loop(ls, base.n, k, level)
+    assert [(s, v.tobytes()) for s, v in lifted.vectors.items()] \
+        == [(s, v.tobytes()) for s, v in want.items()]
+
+
+def test_lasserre_lift_without_a_base_set_refused(k2):
+    ls = bp.lasserre_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 2)
+    del ls.vectors[(0, 1)]
+    with pytest.raises(KeyError, match="no base vector"):
+        bp.lift_lasserre(ls, bp.cartesian_power(k2, 2), 2)
 
 
 # -- the set cap of both lifts --------------------------------------------------
