@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from .functions import (dictator, function_to_dict, load_function, parity,
                         random_boolean)
 from .gadgets import named_graph
 from .graphs import (CHECK_SLACK, DENSE_CAP, cartesian_power, complete_graph,
-                     graph_to_dict, load_graph, path_graph, read_json,
+                     graph_to_dict, json_text, load_graph, path_graph, read_json,
                      require_base_within, write_json)
 from .influence import (ConstantFunctionError, corollary_sweep, friedgut_extract,
                         is_junta_on, kkl_report, require_junta_input,
@@ -350,8 +349,7 @@ def run(argv=None) -> int:
         return exc.code or 0
     try:
         body = _COMMANDS[args.command](args)
-    except (UsageError, OSError, json.JSONDecodeError, ValueError,
-            RuntimeError) as exc:
+    except (UsageError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
@@ -369,7 +367,7 @@ def run(argv=None) -> int:
         "checks": body["checks"],
         "passed": passed,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json_text(report)
     # the --out of examples holds the example files; their report goes to stdout
     if args.out and args.command != "examples":
         try:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import CHECK_SLACK, ProductGraph, read_json
+from .graphs import ProductGraph, read_json
 
 BOOL_TOL = 1e-12
 
@@ -68,9 +68,8 @@ class FunctionTable:
 
     def variance_along(self, j: int) -> float:
         """Expected conditional variance over coordinate ``j``."""
-        n = self.product.base.n
         pi = self.product.base.pi
-        tens = np.moveaxis(self.as_tensor(), j, 0).reshape(n, -1)
+        tens = self.product.fibres(self.values, j)
         m1 = pi @ tens
         m2 = pi @ (tens * tens)
         return float((m2 - m1 * m1) @ self.product.pi_rest())
@@ -114,17 +113,6 @@ def random_boolean(product: ProductGraph, rng, balanced: bool = False) -> Functi
     else:
         vals = rng.choice([-1.0, 1.0], size=size)
     return from_values(product, vals)
-
-
-def efron_stein_check(f: FunctionTable):
-    """Return (sum of coordinate variances, variance); the sum dominates."""
-    lhs = sum(f.variance_along(j) for j in range(f.k))
-    rhs = f.variance()
-    if lhs < rhs - CHECK_SLACK:
-        raise AssertionError(
-            f"variance subadditivity violated: {lhs} < {rhs}"
-        )
-    return lhs, rhs
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -95,11 +95,8 @@ class ConsecutiveOnesFunction:
     def __post_init__(self):
         self.class_has_run.setflags(write=False)
 
-    def __call__(self, tup) -> float:
-        idx = np.asarray(tup, dtype=np.int64)
-        return 1.0 if bool(self.class_has_run[idx].any()) else -1.0
-
-    def evaluate_batch(self, tuples: np.ndarray) -> np.ndarray:
+    def __call__(self, tuples: np.ndarray) -> np.ndarray:
+        """+1 or -1 for each row of a (samples, k) array of class indices."""
         hits = self.class_has_run[tuples].any(axis=1)
         return np.where(hits, 1.0, -1.0)
 
@@ -124,22 +121,14 @@ class MonteCarloEstimate:
     half_width: float
 
 
-def _evaluate(fn, tuples: np.ndarray) -> np.ndarray:
-    """``fn`` on each row of ``tuples``; an ``evaluate_batch`` method is
-    used when present."""
-    if hasattr(fn, "evaluate_batch"):
-        return fn.evaluate_batch(tuples)
-    return np.array([fn(tuple(row)) for row in tuples])
-
-
 def influence_monte_carlo(fn, graph: WeightedGraph, k: int, j: int,
                           samples: int, seed: int) -> MonteCarloEstimate:
     """Unbiased sampled estimate of the directional energy along j.
 
     Draws the off-coordinate tuple from the product vertex measure and a
     base edge from the edge measure; averages half the squared function
-    difference across the edge.  ``fn`` maps an index tuple to {-1,+1};
-    an ``evaluate_batch`` method is used when present.
+    difference across the edge.  ``fn`` maps a (samples, k) array of
+    index tuples to an array of {-1,+1} values.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -150,7 +139,7 @@ def influence_monte_carlo(fn, graph: WeightedGraph, k: int, j: int,
     xv = xs.copy()
     xu[:, j] = graph.edge_u[edges]
     xv[:, j] = graph.edge_v[edges]
-    z = 0.5 * (_evaluate(fn, xu) - _evaluate(fn, xv)) ** 2
+    z = 0.5 * (fn(xu) - fn(xv)) ** 2
     est = float(z.mean())
     spread = float(z.std(ddof=1)) if samples > 1 else 0.0
     return MonteCarloEstimate(estimate=est,
@@ -160,10 +149,10 @@ def influence_monte_carlo(fn, graph: WeightedGraph, k: int, j: int,
 def probability_minus_one(fn, graph: WeightedGraph, k: int,
                           samples: int, seed: int) -> MonteCarloEstimate:
     """Sampled probability that the predicate evaluates to -1 under the
-    product vertex measure."""
+    product vertex measure; ``fn`` as for ``influence_monte_carlo``."""
     rng = np.random.default_rng(seed)
     xs = rng.choice(graph.n, size=(samples, k), p=graph.pi)
-    hits = (_evaluate(fn, xs) < 0).astype(np.float64)
+    hits = (fn(xs) < 0).astype(np.float64)
     p = float(hits.mean())
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
     return MonteCarloEstimate(estimate=p, half_width=se)

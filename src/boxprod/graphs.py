@@ -105,10 +105,6 @@ class WeightedGraph:
         d = np.take(f, self.edge_u, axis=-1) - np.take(f, self.edge_v, axis=-1)
         return 0.5 * np.sum(self.edge_w * d * d, axis=-1)
 
-    def entropy_sq(self, f: np.ndarray):
-        """Entropy of f^2 under pi (see ``entropy_sq``)."""
-        return entropy_sq(self.pi, f)
-
 
 def log0(x):
     """Elementwise log with log(0) = 0, for the 0*log(0) = 0 convention."""
@@ -282,24 +278,26 @@ class ProductGraph:
             raise DenseCapError("n^(k-1) exceeds the dense cap")
         return self._pi_power(self.k - 1)
 
+    def fibres(self, values: np.ndarray, j: int) -> np.ndarray:
+        """The flat table ``values`` as an (n, n^(k-1)) matrix: row u holds
+        the vertices whose coordinate j is u, the other coordinates in
+        ``pi_rest`` order."""
+        return np.moveaxis(values.reshape(self.shape), j, 0).reshape(self.base.n, -1)
+
     def dense_edges(self):
-        """All product edges as flat-index arrays (u, v, mass)."""
+        """All product edges as flat-index arrays (u, v, mass): coordinate
+        by coordinate, base edge by base edge, the other coordinates in
+        ``pi_rest`` order."""
         self.require_dense()
-        n, k = self.base.n, self.k
-        rest_count = n ** (k - 1)
-        pi_rest_flat = self.pi_rest()
-        us, vs, ws = [], [], []
-        r = np.arange(rest_count, dtype=np.int64)
-        for j in range(k):
-            low = n ** (k - 1 - j)
-            hi = r // low
-            lo = r % low
-            base_off = hi * (low * n) + lo
-            for u, v, w in zip(self.base.edge_u, self.base.edge_v, self.base.edge_w):
-                us.append(base_off + int(u) * low)
-                vs.append(base_off + int(v) * low)
-                ws.append((w / self.k) * pi_rest_flat)
-        return (np.concatenate(us), np.concatenate(vs), np.concatenate(ws))
+        base = self.base
+        flat = np.arange(self.num_vertices, dtype=np.int64)
+        w = (base.edge_w / self.k)[:, None] * self.pi_rest()
+        us, vs = [], []
+        for j in range(self.k):
+            index = self.fibres(flat, j)
+            us.append(index[base.edge_u].ravel())
+            vs.append(index[base.edge_v].ravel())
+        return np.concatenate(us), np.concatenate(vs), np.tile(w.ravel(), self.k)
 
     def to_weighted_graph(self, max_vertices: int = 1 << 16) -> WeightedGraph:
         """Materialize the product as an explicit WeightedGraph."""
@@ -350,15 +348,16 @@ def read_json(path, parse, *args):
                          f"{type(exc).__name__}: {exc}") from exc
 
 
+def json_text(data) -> str:
+    """The one file format of reports and written inputs: sorted-key JSON,
+    indented by 2, plus a newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(data, path):
-    """Sorted-key JSON, indented by 2, plus a newline."""
+    """Write ``data`` to ``path`` in the ``json_text`` format."""
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def save_graph(graph: WeightedGraph, path):
-    write_json(graph_to_dict(graph), path)
+        fh.write(json_text(data))
 
 
 def load_graph(path) -> WeightedGraph:

@@ -138,8 +138,6 @@ def kkl_report(f: FunctionTable, alpha: float) -> InfluenceReport:
     infl = influence_profile(f)
     max_inf = float(infl.max())
     mean_inf = float(infl.mean())
-    if max_inf < mean_inf - 1e-12:
-        raise AssertionError("max influence fell below the mean influence")
     bound = alpha * var * math.log(f.k) / f.k
     return InfluenceReport(
         influences=infl,
@@ -239,11 +237,6 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
 
     size_bound_log = 50.0 * k * energy / (epsilon * alpha)
 
-    if distance > epsilon + CHECK_SLACK:
-        raise AssertionError(
-            f"junta distance {distance} exceeds epsilon {epsilon}")
-    if len(junta) > 0 and math.log(len(junta)) > size_bound_log + CHECK_SLACK:
-        raise AssertionError("junta size exceeds its guaranteed bound")
     if distance > 4.0 * real_distance + CHECK_SLACK:
         raise AssertionError("sign rounding lost more than a factor of 4")
 
@@ -266,12 +259,9 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
 
 def is_junta_on(f: FunctionTable, coords) -> bool:
     """True when the table is constant along every coordinate outside
-    ``coords``."""
-    coords = set(coords)
-    tens = f.as_tensor()
-    others = [j for j in range(f.k) if j not in coords]
-    if not others:
-        return True
-    moved = np.moveaxis(tens, sorted(coords), range(len(coords)))
-    flat = moved.reshape(f.product.base.n ** len(coords), -1)
+    ``coords``: with ``coords`` moved first, each row of the flattened
+    table equals its first entry."""
+    coords = sorted(set(coords))
+    flat = np.moveaxis(f.as_tensor(), coords, range(len(coords))).reshape(
+        f.product.base.n ** len(coords), -1)
     return bool(np.all(flat == flat[:, :1]))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (CHECK_SLACK, ProductGraph, WeightedGraph, log0,
+from .graphs import (CHECK_SLACK, ProductGraph, WeightedGraph, entropy_sq, log0,
                      power_at_most)
 
 BRUTE_FORCE_MAX_VERTICES = 25
@@ -245,7 +245,7 @@ def _lockstep_descent(graph, starts):
     ENTROPY_FLOOR) and function."""
     pi = graph.pi
     f = starts / np.sqrt(_row_dots(starts * starts, pi))[:, None]
-    energy, ent = graph.dirichlet(f), graph.entropy_sq(f)
+    energy, ent = graph.dirichlet(f), entropy_sq(pi, f)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ent >= ENTROPY_FLOOR, 2.0 * energy / ent, np.inf)
     live = ent >= ENTROPY_FLOOR
@@ -274,7 +274,7 @@ def _lockstep_descent(graph, starts):
         rows = np.flatnonzero(live)
         cand = f[rows] - step[rows, None] * grad[rows]
         cand /= np.sqrt(_row_dots(cand * cand, pi))[:, None]
-        c_energy, c_ent = graph.dirichlet(cand), graph.entropy_sq(cand)
+        c_energy, c_ent = graph.dirichlet(cand), entropy_sq(pi, cand)
         with np.errstate(divide="ignore", invalid="ignore"):
             c_ratio = 2.0 * c_energy / c_ent
         ok = (c_ent >= ENTROPY_FLOOR) & (c_ratio < ratio[rows] - 1e-18)
@@ -321,7 +321,7 @@ def log_sobolev_estimate(graph: WeightedGraph, *,
 def witness_ratio(graph: WeightedGraph, f: np.ndarray) -> float:
     """Recompute the log-Sobolev ratio certified by a witness function."""
     f = np.asarray(f, dtype=np.float64)
-    energy, ent = graph.dirichlet(f), graph.entropy_sq(f)
+    energy, ent = graph.dirichlet(f), entropy_sq(graph.pi, f)
     if ent <= 0.0:
         raise ValueError("witness has zero entropy")
     return float(2.0 * energy / ent)
@@ -331,6 +331,9 @@ def witness_ratio(graph: WeightedGraph, f: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ChainReport:
+    """alpha_hat <= lambda_1 <= 2*Phi, with a relative tolerance on the
+    first comparison to absorb estimator slack, and both witnesses."""
+
     alpha_hat: float
     alpha_witness: np.ndarray
     lambda1: float
@@ -355,16 +358,6 @@ def _chain_report(est: LogSobolevEstimate, lam1: float, scan) -> ChainReport:
         alpha_le_lambda=bool(est.alpha_hat <= lam1 * (1.0 + CHAIN_REL_TOL) + 1e-12),
         lambda_le_2phi=bool(lam1 <= 2.0 * phi + CHECK_SLACK),
     )
-
-
-def chain_check(graph_or_product, *, seed: int = 0) -> ChainReport:
-    """Verify alpha_hat <= lambda_1 <= 2*Phi, with a relative tolerance on
-    the first comparison to absorb estimator slack.  Both witnesses ride
-    along: the conductance set reproduces phi and the log-Sobolev
-    function reproduces alpha_hat."""
-    graph = scannable(graph_or_product)
-    est = log_sobolev_estimate(graph, seed=seed)
-    return _chain_report(est, graph.basis.lambda1, conductance_bruteforce(graph))
 
 
 @dataclass(frozen=True, eq=False)

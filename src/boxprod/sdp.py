@@ -103,9 +103,10 @@ def lift_vectors(sol: SdpSolution, product: ProductGraph) -> LiftedSolution:
     """Direct-sum lifting: product vertex x gets (1/sqrt(k)) (+) v_{x_j}.
 
     Materializes ``product`` under LIFT_MAX_VERTICES, so a larger product
-    is refused before the solution is checked, then verifies the three
-    lifting identities: Gram entries average the coordinate Gram entries,
-    spread stays 1, and the objective drops by exactly the factor k.
+    is refused before the solution is checked, then verifies two lifting
+    identities: Gram entries average the coordinate Gram entries, and
+    spread stays 1.  The third, that the objective drops by exactly the
+    factor k, is the report's to check on the objectives returned.
     """
     dense = product.to_weighted_graph(max_vertices=LIFT_MAX_VERTICES)
     base = product.base
@@ -123,8 +124,6 @@ def lift_vectors(sol: SdpSolution, product: ProductGraph) -> LiftedSolution:
     if abs(spread - 1.0) > CHECK_SLACK:
         raise AssertionError("lifted solution violates the spread constraint")
     objective, base_objective = out.objective(dense), sol.objective(base)
-    if abs(objective - base_objective / k) > CHECK_SLACK:
-        raise AssertionError("lifted objective is not objective/k")
     return LiftedSolution(vectors=out.vectors, objective_base=base_objective,
                           objective_lifted=objective, spread_lifted=spread)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import FunctionTable, from_values
-from .graphs import CHECK_SLACK, ProductGraph, WeightedGraph
+from .graphs import ProductGraph, WeightedGraph
 
 EIG_RESIDUAL_TOL = 1e-9
 
@@ -117,10 +117,9 @@ def inverse_transform(coeffs: FourierCoefficients) -> FunctionTable:
 def directional_form(f: FunctionTable, j: int) -> float:
     """Energy along coordinate j: expected restriction energy over the
     remaining coordinates."""
-    prod = f.product
-    base = prod.base
-    tens = np.moveaxis(f.as_tensor(), j, 0).reshape(base.n, -1)
-    rest = prod.pi_rest()
+    base = f.product.base
+    tens = f.product.fibres(f.values, j)
+    rest = f.product.pi_rest()
     total = 0.0
     for u, v, w in zip(base.edge_u, base.edge_v, base.edge_w):
         d = tens[u] - tens[v]
@@ -198,27 +197,3 @@ def component_energies(coeffs: FourierCoefficients):
         norms[j] = sq[block].sum()
     return energies, norms
 
-
-def check_l2_l1_bounds(f: FunctionTable):
-    """Per-coordinate norm bounds of the parts of ``decompose(f)``.
-
-    For Boolean f, both the squared 2-norm and the 1-norm of part j are
-    bounded by the coordinate-j variance.  Returns one row per
-    coordinate with the observed slack.
-    """
-    if not f.boolean_pm1:
-        raise ValueError("norm bounds require a {-1,+1}-valued function")
-    rows = []
-    for j, part in enumerate(decompose(f).parts):
-        l2_sq = part.norm2_sq()
-        l1 = part.norm1()
-        vj = f.variance_along(j)
-        rows.append({
-            "j": j,
-            "l2_sq": l2_sq,
-            "l1": l1,
-            "var_j": vj,
-            "ok_l2": bool(l2_sq <= vj + CHECK_SLACK),
-            "ok_l1": bool(l1 <= vj + CHECK_SLACK),
-        })
-    return rows

@@ -16,6 +16,10 @@ import pytest
 import boxprod as bp
 
 
+# a weighted 4-vertex graph, edges given out of order and reversed
+WEIGHTED4 = {"n": 4, "edges": [[3, 0, 1.3], [2, 1, 3.0], [1, 0, 1.0], [2, 3, 0.7]]}
+
+
 @pytest.fixture(scope="session")
 def k2():
     return bp.complete_graph(2)

@@ -6,6 +6,7 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boxprod as bp
@@ -98,7 +99,7 @@ def test_examples_writes_inputs(tmp_path, capsys):
 
 def test_graph_file_input(tmp_path, capsys):
     path = tmp_path / "g.json"
-    bp.save_graph(bp.path_graph(3), path)
+    write_json(bp.graph_to_dict(bp.path_graph(3)), path)
     code, out = run_capture(
         ["isoperimetry", "--graph", str(path), "--k", "2"], capsys)
     assert code == 0
@@ -265,6 +266,66 @@ def test_sa_key_without_a_sign_per_vertex_exit_one(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: SA assignment key '+'")
     assert "Traceback" not in err
+
+
+def _break_max_influence(monkeypatch):
+    from boxprod import cli, influence
+
+    sweep = influence.corollary_sweep
+    # three equal influences whose float mean rounds one unit above them
+    monkeypatch.setattr(influence, "influence_profile",
+                        lambda f: np.full(f.k, 1e8 + 2.0 ** -25))
+    # the sweep checks the component energies against f's own energy
+    monkeypatch.setattr(cli, "corollary_sweep",
+                        lambda f, ts, alpha, energy: sweep(f, ts, alpha))
+
+
+def _break_junta_distance(monkeypatch):
+    from boxprod import influence
+
+    # a truncation that comes back as the constant -1 rounds to -1, at
+    # squared distance 2 from the dictator
+    monkeypatch.setattr(influence, "_truncate_to_junta",
+                        lambda f, junta: f.with_values(np.full(f.product.num_vertices, -1.0)))
+
+
+def _break_junta_size(monkeypatch):
+    from boxprod import cli, influence
+
+    extract = influence.friedgut_extract
+    # alpha = 1e6 keeps all 4 coordinates and shrinks the size bound below log 4
+    monkeypatch.setattr(cli, "friedgut_extract",
+                        lambda f, epsilon, alpha, phi: extract(f, epsilon, 1e6, phi))
+
+
+def _break_lifted_objective(monkeypatch):
+    from boxprod import sdp
+
+    objective = sdp.SdpSolution.objective
+    # doubled on the 4 vertices of K2^2 only, so the base optimum still checks
+    monkeypatch.setattr(sdp.SdpSolution, "objective",
+                        lambda self, g: objective(self, g) * (2.0 if g.n == 4 else 1.0))
+
+
+@pytest.mark.parametrize("check, argv, breaks", [
+    ("max_influence_ge_mean", ["kkl", "--builtin", "k2", "--k", "3"], _break_max_influence),
+    ("distance_le_epsilon", ["friedgut", "--builtin", "k2", "--k", "4", "--fn", "dictator"],
+     _break_junta_distance),
+    ("junta_size_bound", ["friedgut", "--builtin", "k2", "--k", "4"], _break_junta_size),
+    ("lifted_objective_is_base_over_k", ["sdp-lift", "--builtin", "k2", "--k", "2"],
+     _break_lifted_objective),
+], ids=["kkl-max-influence", "friedgut-distance", "friedgut-size", "sdp-lift-objective"])
+def test_broken_condition_is_a_failed_check_in_the_report(check, argv, breaks, tmp_path,
+                                                         monkeypatch, capsys):
+    # the library returns what it computed; the report's check names the failure
+    breaks(monkeypatch)
+    out = tmp_path / "report.json"
+    code = run(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "")
+    report = json.loads(out.read_text())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == [check] and not report["passed"]
 
 
 def test_library_assertion_exit_two_without_traceback(tmp_path, capsys):
@@ -474,10 +535,11 @@ def test_isoperimetry_runs_each_descent_and_scan_once(monkeypatch, capsys):
     details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
     base = bp.complete_graph(3)
     for name, graph in (("chain_base", base),
-                        ("chain_product", bp.cartesian_power(base, 2))):
-        fresh = bp.chain_check(graph, seed=0)
-        assert details[name] == {"alpha_hat": fresh.alpha_hat,
-                                 "lambda1": fresh.lambda1, "phi": fresh.phi}
+                        ("chain_product", bp.cartesian_power(base, 2).to_weighted_graph())):
+        fresh = {"alpha_hat": bp.log_sobolev_estimate(graph, seed=0).alpha_hat,
+                 "lambda1": graph.basis.lambda1,
+                 "phi": bp.conductance_bruteforce(graph)[0]}
+        assert details[name] == fresh
 
 
 @pytest.mark.parametrize("argv", [
@@ -522,10 +584,10 @@ def test_sdp_lift_reads_the_values_lift_vectors_checked(monkeypatch, capsys):
 
 
 def test_tolerances_are_the_constants_the_checks_read():
-    from boxprod import cli, functions, graphs, influence, isoperimetry, sdp
+    from boxprod import cli, graphs, influence, isoperimetry, sdp
 
     assert cli.TOLERANCES["alpha_chain_rel"] == isoperimetry.CHAIN_REL_TOL
-    for module in (sdp, influence, functions, isoperimetry):
+    for module in (sdp, influence, isoperimetry):
         assert module.CHECK_SLACK is graphs.CHECK_SLACK
     assert cli.TOLERANCES["check_abs"] == graphs.CHECK_SLACK
 

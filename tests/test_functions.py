@@ -122,31 +122,36 @@ def test_decompose_invariants_random_boolean(k3):
 
 
 def test_l2_l1_bounds_dictator(k2):
+    # the dictator is its own part 0, which meets the 2-norm bound with
+    # equality
     prod = bp.cartesian_power(k2, 2)
     f = bp.dictator(prod, 0)
-    rows = bp.check_l2_l1_bounds(f)
-    assert rows[0]["ok_l2"] and rows[0]["ok_l1"]
-    assert math.isclose(rows[0]["l2_sq"], rows[0]["var_j"], abs_tol=1e-12)
-
-
-def test_l2_l1_bounds_requires_boolean(k2):
-    prod = bp.cartesian_power(k2, 2)
-    f = bp.from_values(prod, [0.5, 1.0, -1.0, 0.25])
-    with pytest.raises(ValueError):
-        bp.check_l2_l1_bounds(f)
+    part0 = bp.decompose(f).parts[0]
+    var0 = f.variance_along(0)
+    assert math.isclose(part0.norm2_sq(), var0, abs_tol=1e-12)
+    assert part0.norm1() <= var0 + 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(bits=st.integers(min_value=0, max_value=2 ** 9 - 1),
        kk=st.sampled_from([1, 2]))
 def test_l2_l1_bounds_random_boolean(bits, kk):
+    # for Boolean f, both norms of part j are bounded by the coordinate-j
+    # variance
     base = bp.complete_graph(3)
     prod = bp.cartesian_power(base, kk)
     size = 3 ** kk
     vals = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(size)])
     f = bp.from_values(prod, vals)
-    rows = bp.check_l2_l1_bounds(f)
-    assert all(r["ok_l2"] and r["ok_l1"] for r in rows)
+    for j, part in enumerate(bp.decompose(f).parts):
+        var_j = f.variance_along(j)
+        assert part.norm2_sq() <= var_j + 1e-9
+        assert part.norm1() <= var_j + 1e-9
+
+
+def efron_stein(f):
+    """(sum of coordinate variances, variance): the sum dominates."""
+    return sum(f.variance_along(j) for j in range(f.k)), f.variance()
 
 
 def test_efron_stein_additive_equality(k3):
@@ -155,13 +160,13 @@ def test_efron_stein_additive_equality(k3):
     g = rng.standard_normal(3)
     h = rng.standard_normal(3)
     vals = (g[:, None] + h[None, :]).reshape(-1)
-    lhs, rhs = bp.efron_stein_check(bp.from_values(prod, vals))
+    lhs, rhs = efron_stein(bp.from_values(prod, vals))
     assert math.isclose(lhs, rhs, abs_tol=1e-12)
 
 
 def test_efron_stein_parity(k2):
     prod = bp.cartesian_power(k2, 2)
-    lhs, rhs = bp.efron_stein_check(bp.parity(prod))
+    lhs, rhs = efron_stein(bp.parity(prod))
     assert math.isclose(lhs, 2.0, abs_tol=1e-12)
     assert math.isclose(rhs, 1.0, abs_tol=1e-12)
 
@@ -171,7 +176,7 @@ def test_efron_stein_random(k3):
     rng = np.random.default_rng(6)
     for _ in range(100):
         f = bp.from_values(prod, rng.standard_normal(9))
-        lhs, rhs = bp.efron_stein_check(f)
+        lhs, rhs = efron_stein(f)
         assert lhs >= rhs - 1e-9
 
 

@@ -84,10 +84,9 @@ def test_consecutive_ones_trivial_values():
     assert has[0b0101] is False
     assert has[0b0001] is False
     no_run = [i for i, flag in enumerate(fn.class_has_run) if not flag]
-    tup = tuple([no_run[0]] * 2)
-    assert fn(tup) == -1.0
     run_cls = int(np.flatnonzero(fn.class_has_run)[0])
-    assert fn((run_cls, no_run[0])) == 1.0
+    tuples = np.array([[no_run[0]] * 2, [run_cls, no_run[0]]])
+    assert fn(tuples).tolist() == [-1.0, 1.0]
 
 
 def test_consecutive_ones_batch_matches_scalar():
@@ -95,13 +94,13 @@ def test_consecutive_ones_batch_matches_scalar():
     fn = bp.consecutive_ones_function(6, 3, g)
     rng = np.random.default_rng(0)
     tuples = rng.integers(0, g.n, size=(50, 3))
-    batch = fn.evaluate_batch(tuples)
-    scalar = np.array([fn(tuple(row)) for row in tuples])
-    assert np.array_equal(batch, scalar)
+    scalar = np.array([1.0 if fn.class_has_run[row].any() else -1.0 for row in tuples])
+    assert np.array_equal(fn(tuples), scalar)
 
 
 def test_monte_carlo_constant_function(k3):
-    est = bp.influence_monte_carlo(lambda tup: 1.0, k3, 3, 0, 500, seed=0)
+    est = bp.influence_monte_carlo(lambda tuples: np.ones(len(tuples)), k3, 3, 0, 500,
+                                   seed=0)
     assert est.estimate == 0.0
     assert est.half_width == 0.0
 
@@ -110,8 +109,8 @@ def test_monte_carlo_matches_exact_dictator(k2):
     prod = bp.cartesian_power(k2, 4)
     exact = bp.directional_form(bp.dictator(prod, 0), 0)
 
-    def fn(tup):
-        return 1.0 if tup[0] == 0 else -1.0
+    def fn(tuples):
+        return np.where(tuples[:, 0] == 0, 1.0, -1.0)
 
     est = bp.influence_monte_carlo(fn, k2, 4, 0, 100_000, seed=1)
     assert est.half_width < 0.05
@@ -121,8 +120,8 @@ def test_monte_carlo_matches_exact_dictator(k2):
 
 
 def test_monte_carlo_deterministic(k3):
-    def fn(tup):
-        return 1.0 if sum(tup) % 2 == 0 else -1.0
+    def fn(tuples):
+        return np.where(tuples.sum(axis=1) % 2 == 0, 1.0, -1.0)
 
     a = bp.influence_monte_carlo(fn, k3, 3, 1, 2000, seed=42)
     b = bp.influence_monte_carlo(fn, k3, 3, 1, 2000, seed=42)

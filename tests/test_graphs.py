@@ -1,5 +1,6 @@
 """Graph data model: measures, consistency, products, file format."""
 
+import itertools
 import json
 import math
 
@@ -7,10 +8,8 @@ import numpy as np
 import pytest
 
 import boxprod as bp
-from conftest import naive_product_edges
-
-# a weighted 4-vertex graph, edges given out of order and reversed
-WEIGHTED4 = {"n": 4, "edges": [[3, 0, 1.3], [2, 1, 3.0], [1, 0, 1.0], [2, 3, 0.7]]}
+from boxprod.graphs import write_json
+from conftest import WEIGHTED4, naive_product_edges
 
 
 def test_k2_measures(k2):
@@ -146,6 +145,24 @@ def test_dense_edges_match_the_product_definition(k3, p3, c5):
             assert math.isclose(dense[edge], mass, rel_tol=1e-14, abs_tol=0.0)
 
 
+def test_fibres_match_explicit_tuples(k3, p3):
+    # row u of fibre j holds the tuples whose coordinate j is u; column r
+    # is the r-th tuple of the other coordinates, whose measure is pi_rest[r]
+    rng = np.random.default_rng(0)
+    for g, k in ((k3, 3), (p3, 2), (bp.graph_from_dict(WEIGHTED4), 3)):
+        prod = bp.cartesian_power(g, k)
+        values = rng.standard_normal(prod.num_vertices)
+        rest = list(itertools.product(range(g.n), repeat=k - 1))
+        column = {others: r for r, others in enumerate(rest)}
+        want = [math.prod(float(g.pi[i]) for i in others) for others in rest]
+        assert np.allclose(prod.pi_rest(), want, rtol=1e-15, atol=0.0)
+        for j in range(k):
+            fib = prod.fibres(values, j)
+            assert fib.shape == (g.n, len(rest))
+            for a, x in enumerate(itertools.product(range(g.n), repeat=k)):
+                assert fib[x[j], column[x[:j] + x[j + 1:]]] == values[a]
+
+
 def test_product_measure_consistency(p3):
     # 2 pi(v) = sum_u mu({u,v}) between the product's vertex and edge measures
     for g, k in [(p3, 2), (p3, 3)]:
@@ -208,7 +225,7 @@ def test_cached_measures_keep_the_cap_checks(k2):
 
 def test_graph_json_roundtrip(tmp_path, c5):
     path = tmp_path / "c5.json"
-    bp.save_graph(c5, path)
+    write_json(bp.graph_to_dict(c5), path)
     data = json.loads(path.read_text())
     assert data["n"] == 5
     loaded = bp.load_graph(path)

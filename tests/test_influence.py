@@ -1,5 +1,6 @@
 """Entropy lemma chain, influence reports and junta extraction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from boxprod import influence, spectral
 from boxprod.cli import T_SWEEP
 from boxprod.graphs import CHECK_SLACK
 from boxprod.influence import CorollaryRow, _entropy_rhs, _truncate_to_junta
-from conftest import naive_component
+from conftest import WEIGHTED4, naive_component
 
 T_MAX = math.exp(-2.0)
 
@@ -241,6 +242,30 @@ def test_friedgut_noisy_dictator(k2):
     assert bp.is_junta_on(res.g_tilde, res.junta)
 
 
+def test_is_junta_on_matches_explicit_tuples(k3, p3):
+    # f is a junta on S when tuples that agree on S agree on f; each f is
+    # built from a table over a support, and every coordinate set is asked,
+    # the empty and the full one included
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for g, k in ((k3, 3), (p3, 2), (bp.graph_from_dict(WEIGHTED4), 3)):
+        prod = bp.cartesian_power(g, k)
+        tuples = list(itertools.product(range(g.n), repeat=k))
+        subsets = [s for size in range(k + 1) for s in itertools.combinations(range(k), size)]
+        for support in subsets:
+            table = rng.integers(0, 3, size=(g.n,) * len(support))
+            values = [float(table[tuple(x[i] for i in support)]) for x in tuples]
+            f = bp.from_values(prod, values)
+            for coords in subsets:
+                seen = {}
+                for x, v in zip(tuples, values):
+                    seen.setdefault(tuple(x[i] for i in coords), set()).add(v)
+                want = all(len(vs) == 1 for vs in seen.values())
+                assert bp.is_junta_on(f, coords) == want, (k, support, coords)
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 def test_friedgut_junta_independence_by_permutation(k2):
     prod = bp.cartesian_power(k2, 5)
     rng = np.random.default_rng(4)
@@ -252,6 +277,7 @@ def test_friedgut_junta_independence_by_permutation(k2):
             tens[a, :, c, :, :] = pattern[a, c]
     f = bp.from_values(prod, tens.reshape(-1))
     res = bp.friedgut_extract(f, 0.05, 2.0, 1.0)
+    assert res.distance <= 0.05 + 1e-9
     assert set(res.junta) <= {0, 2}
     g = res.g_tilde.as_tensor()
     for axis in (1, 3, 4):
@@ -266,13 +292,15 @@ def test_friedgut_rejects_bad_epsilon(k2):
 
 
 def test_friedgut_intermediate_bounds_random(k2):
-    # spot-check the two proof-side bounds the extractor asserts internally
+    # spot-check the two proof-side bounds the report checks: the distance
+    # to the rounded junta and the junta-size bound
     prod = bp.cartesian_power(k2, 3)
     rng = np.random.default_rng(5)
     for _ in range(40):
         f = bp.random_boolean(prod, rng)
         res = bp.friedgut_extract(f, 0.5, 2.0, 1.0)
         assert res.distance <= 0.5 + 1e-9
+        assert len(res.junta) == 0 or math.log(len(res.junta)) <= res.size_bound_log + 1e-9
 
 
 def test_sign_rounding_factor_four(k2):
@@ -282,6 +310,7 @@ def test_sign_rounding_factor_four(k2):
     for _ in range(20):
         f = bp.random_boolean(prod, rng)
         res = bp.friedgut_extract(f, 0.9, 2.0, 1.0)
+        assert res.distance <= 0.9 + 1e-9
         real_dist = float(np.sum(pi * (f.values - res.g_real.values) ** 2))
         assert res.distance <= 4.0 * real_dist + 1e-9
 

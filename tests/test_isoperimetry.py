@@ -60,16 +60,6 @@ def test_phi_refuses_large_graphs(k2, c5, monkeypatch):
     assert iso.scannable(bp.cartesian_power(c5, 2)).n == 25
 
 
-def test_chain_check_refuses_a_large_graph_before_the_descent(k3, monkeypatch):
-    def no_descent(*args, **kwargs):
-        raise AssertionError("descent ran")
-
-    monkeypatch.setattr(iso, "log_sobolev_estimate", no_descent)
-    for g in (bp.cartesian_power(k3, 4), bp.cycle_graph(30)):
-        with pytest.raises(ValueError, match="enumeration"):
-            bp.chain_check(g)
-
-
 def test_functional_form_k2(k2):
     assert math.isclose(
         bp.conductance_functional(k2, np.array([1.0, -1.0])), 1.0,
@@ -143,16 +133,22 @@ def test_hypercube_alpha_anchor(k2):
         assert abs(est.alpha_hat - 2.0 / k) <= 0.05
 
 
+def chain_of(g):
+    """The chain ``analyze isoperimetry`` reports for ``g``: at k = 1 the
+    product is the base graph."""
+    return bp.product_scaling_report(bp.cartesian_power(g, 1), seed=0).chain_base
+
+
 def test_chain_check(k2, k3, p3):
     for g in (k2, k3, p3):
-        rep = bp.chain_check(g, seed=0)
+        rep = chain_of(g)
         assert rep.chain_ok
         assert rep.lambda1 <= 2.0 * rep.phi + 1e-9
 
 
 def test_chain_witnesses_reproduce_values(k3, c5):
     for g in (k3, c5):
-        rep = bp.chain_check(g, seed=0)
+        rep = chain_of(g)
         mask = sum(1 << v for v in rep.phi_witness)
         assert math.isclose(bp.cut_ratio(g, mask), rep.phi, abs_tol=1e-12)
         assert math.isclose(bp.witness_ratio(g, rep.alpha_witness),
@@ -160,7 +156,7 @@ def test_chain_witnesses_reproduce_values(k3, c5):
 
 
 def test_chain_k3_values(k3):
-    rep = bp.chain_check(k3, seed=0)
+    rep = chain_of(k3)
     assert math.isclose(rep.lambda1, 1.5, abs_tol=1e-9)
     assert math.isclose(rep.phi, 0.75, abs_tol=1e-12)
     assert rep.alpha_hat <= 1.5 + 1e-6

@@ -79,7 +79,8 @@ def test_lift_vectors_random_feasible(p3):
     prod = bp.cartesian_power(p3, 2)
     for seed in range(10):
         sol = bp.random_feasible_sdp(p3, dim=2, seed=seed)
-        bp.lift_vectors(sol, prod)  # internal identity checks must pass
+        lifted = bp.lift_vectors(sol, prod)  # Gram and spread checks must pass
+        assert abs(lifted.objective_lifted - lifted.objective_base / 2) <= 1e-9
 
 
 def test_lift_vectors_rejects_infeasible(k2):
@@ -104,6 +105,7 @@ def test_lift_vectors_returns_the_values_it_checked(k2, k3, p3, c5):
         assert lifted.objective_base == sol.objective(base)
         assert lifted.objective_lifted == lifted.objective(dense)
         assert lifted.spread_lifted == lifted.spread(dense)
+        assert abs(lifted.objective_lifted - lifted.objective_base / k) <= 1e-9
 
 
 def test_lift_vectors_refuses_a_large_product_before_the_solution(k2):
