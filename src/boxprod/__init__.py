@@ -11,10 +11,10 @@ from .graphs import (DenseCapError, ProductGraph, WeightedGraph, build_graph,
 from .influence import (InfluenceReport, JuntaResult, corollary_check,
                         corollary_sweep, friedgut_extract, is_junta_on,
                         kkl_report, main_lemma_check)
-from .isoperimetry import (ChainReport, LogSobolevEstimate, ScalingReport,
-                           conductance_bruteforce, conductance_functional,
-                           cut_ratio, cut_ratios, log_sobolev_estimate,
-                           product_scaling_report, witness_ratio)
+from .isoperimetry import (LogSobolevEstimate, Measures, conductance_bruteforce,
+                           conductance_functional, cut_ratio, cut_ratios,
+                           log_sobolev_estimate, product_scaling_report,
+                           witness_ratio)
 from .sdp import (LocalDistributions, SdpSolution, SetVectorSolution,
                   basic_sdp_opt, check_triangle, lasserre_from_distribution,
                   lift_lasserre, lift_sherali_adams, lift_vectors,

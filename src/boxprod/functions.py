@@ -45,9 +45,6 @@ class FunctionTable:
     def as_tensor(self) -> np.ndarray:
         return self.values.reshape(self.product.shape)
 
-    def with_values(self, values: np.ndarray) -> "FunctionTable":
-        return FunctionTable(self.product, np.array(values, dtype=np.float64))
-
     # -- measure-weighted primitives ----------------------------------------
 
     def _pi(self) -> np.ndarray:
@@ -103,16 +100,9 @@ def parity(product: ProductGraph) -> FunctionTable:
     return from_values(product, vals)
 
 
-def random_boolean(product: ProductGraph, rng, balanced: bool = False) -> FunctionTable:
+def random_boolean(product: ProductGraph, rng) -> FunctionTable:
     product.require_dense()
-    size = product.num_vertices
-    if balanced:
-        vals = np.ones(size)
-        vals[: size // 2] = -1.0
-        rng.shuffle(vals)
-    else:
-        vals = rng.choice([-1.0, 1.0], size=size)
-    return from_values(product, vals)
+    return from_values(product, rng.choice([-1.0, 1.0], size=product.num_vertices))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import FunctionTable
+from .functions import FunctionTable, from_values
 from .graphs import CHECK_SLACK
 from .spectral import (FourierCoefficients, component_energies, dirichlet_form,
                        fourier_transform, influence_profile, inverse_transform)
@@ -209,7 +209,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
 
     if variance <= 1e-15:
         constant = 1.0 if f.mean() >= 0 else -1.0
-        g_tilde = f.with_values(np.full(f.product.num_vertices, constant))
+        g_tilde = from_values(f.product, np.full(f.product.num_vertices, constant))
         return JuntaResult(
             junta=(), g_tilde=g_tilde, g_real=g_tilde, distance=0.0,
             threshold=math.inf, size_bound_log=0.0,
@@ -228,7 +228,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
 
     g_real = _truncate_to_junta(f, set(junta))
     g_vals = np.where(g_real.values >= 0.0, 1.0, -1.0)
-    g_tilde = f.with_values(g_vals)
+    g_tilde = from_values(f.product, g_vals)
 
     diff = f.values - g_tilde.values
     distance = float(np.sum(f.product.pi_product() * diff * diff))
@@ -244,7 +244,7 @@ def friedgut_extract(f: FunctionTable, epsilon: float, alpha: float,
     # decreasing variance the junta coordinates come first, so the
     # components off the junta sum to f - g_real; they are orthogonal, so
     # their energies add up to its energy
-    outside = dirichlet_form(f.with_values(real_diff))
+    outside = dirichlet_form(from_values(f.product, real_diff))
     if outside > energy + CHECK_SLACK:
         raise AssertionError("off-junta component energy exceeds total energy")
     if float(var_j.sum()) > (k / (2.0 * phi)) * energy + CHECK_SLACK:

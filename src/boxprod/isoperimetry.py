@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (CHECK_SLACK, ProductGraph, WeightedGraph, entropy_sq, log0,
-                     power_at_most)
+from .graphs import ProductGraph, WeightedGraph, entropy_sq, log0, power_at_most
 
 BRUTE_FORCE_MAX_VERTICES = 25
 SCAN_SLACK = 1e-11
@@ -33,7 +32,6 @@ LS_RESTARTS = 12
 LS_MAX_ITERS = 4000
 LS_TOL = 1e-12
 ENTROPY_FLOOR = 1e-11
-CHAIN_REL_TOL = 0.02
 
 
 def scannable(graph_or_product) -> WeightedGraph:
@@ -327,110 +325,34 @@ def witness_ratio(graph: WeightedGraph, f: np.ndarray) -> float:
     return float(2.0 * energy / ent)
 
 
-# -- inequality chain and scaling ------------------------------------------------
+# -- product scaling -------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ChainReport:
-    """alpha_hat <= lambda_1 <= 2*Phi, with a relative tolerance on the
-    first comparison to absorb estimator slack, and both witnesses."""
+class Measures:
+    """A graph with its ``(phi, witness)`` scan and its log-Sobolev
+    estimate, each None where its exhaustive or dense computation is
+    infeasible."""
 
-    alpha_hat: float
-    alpha_witness: np.ndarray
-    lambda1: float
-    phi: float
-    phi_witness: tuple
-    alpha_le_lambda: bool
-    lambda_le_2phi: bool
-
-    @property
-    def chain_ok(self) -> bool:
-        return self.alpha_le_lambda and self.lambda_le_2phi
+    graph: WeightedGraph
+    scan: tuple | None
+    estimate: LogSobolevEstimate | None
 
 
-def _chain_report(est: LogSobolevEstimate, lam1: float, scan) -> ChainReport:
-    phi, witness = scan
-    return ChainReport(
-        alpha_hat=est.alpha_hat,
-        alpha_witness=est.witness,
-        lambda1=lam1,
-        phi=phi,
-        phi_witness=witness,
-        alpha_le_lambda=bool(est.alpha_hat <= lam1 * (1.0 + CHAIN_REL_TOL) + 1e-12),
-        lambda_le_2phi=bool(lam1 <= 2.0 * phi + CHECK_SLACK),
-    )
+def _measures(graph: WeightedGraph, seed: int) -> Measures:
+    return Measures(
+        graph,
+        conductance_bruteforce(graph) if graph.n <= BRUTE_FORCE_MAX_VERTICES else None,
+        log_sobolev_estimate(graph, seed=seed) if graph.n <= LS_MAX_VERTICES else None)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalingReport:
-    k: int
-    phi_base: float | None
-    phi_product: float | None
-    lambda1_base: float
-    lambda1_product: float
-    alpha_base: float | None
-    alpha_product: float | None
-    partial: bool
-    chain_base: ChainReport | None = None
-    chain_product: ChainReport | None = None
-
-    @property
-    def phi_ratio(self) -> float | None:
-        if self.phi_base is None or self.phi_product is None:
-            return None
-        return self.phi_product / self.phi_base
-
-    @property
-    def lambda1_ratio(self) -> float:
-        return self.lambda1_product / self.lambda1_base
-
-    @property
-    def alpha_ratio(self) -> float | None:
-        if self.alpha_base is None or self.alpha_product is None:
-            return None
-        return self.alpha_product / self.alpha_base
-
-
-def _exact_and_estimate(graph: WeightedGraph, seed: int):
-    """``(phi, witness)`` and the log-Sobolev estimate of a graph, each
-    None where its exhaustive or dense computation is infeasible."""
-    scan = conductance_bruteforce(graph) if graph.n <= BRUTE_FORCE_MAX_VERTICES else None
-    est = log_sobolev_estimate(graph, seed=seed) if graph.n <= LS_MAX_VERTICES else None
-    return scan, est
-
-
-def product_scaling_report(product: ProductGraph, *,
-                           seed: int = 0) -> ScalingReport:
-    """Compare conductance, spectral gap and log-Sobolev estimates of the
-    base graph against its k-fold power ``product``.  Quantities whose
-    exhaustive or dense computation is infeasible at either level, or
-    whose G^k is over the product's dense cap, are left out and the
-    report marked partial.  Where phi and alpha are both computed, the
-    report also carries the inequality chain built from them."""
-    base, k = product.base, product.k
-    base_scan, base_est = _exact_and_estimate(base, seed)
-    lam_base = base.basis.lambda1
-    # spectral averaging rule: the smallest nonzero mean of coordinate
-    # eigenvalues is lambda_1 / k
-    lam_product = lam_base / k
-
-    prod_scan = prod_est = dense = None
-    if product.within_cap and power_at_most(base.n, k, LS_MAX_VERTICES):
-        # at k = 1 the materialized product is the base graph itself
-        dense = product.to_weighted_graph()
-        prod_scan, prod_est = ((base_scan, base_est) if dense is base
-                               else _exact_and_estimate(dense, seed))
-    return ScalingReport(
-        k=k,
-        phi_base=None if base_scan is None else base_scan[0],
-        phi_product=None if prod_scan is None else prod_scan[0],
-        lambda1_base=lam_base,
-        lambda1_product=lam_product,
-        alpha_base=None if base_est is None else base_est.alpha_hat,
-        alpha_product=None if prod_est is None else prod_est.alpha_hat,
-        partial=None in (base_scan, base_est, prod_scan, prod_est),
-        # a graph small enough to scan is small enough for the descent
-        chain_base=(None if base_scan is None
-                    else _chain_report(base_est, lam_base, base_scan)),
-        chain_product=(None if prod_scan is None else _chain_report(
-            prod_est, dense.basis.lambda1, prod_scan)),
-    )
+def product_scaling_report(product: ProductGraph, *, seed: int = 0):
+    """``(base, power)``: the measures of the base graph and of its k-fold
+    power ``product`` materialized, the latter None where G^k is over the
+    product's dense cap or beyond the descent.  At k = 1 the materialized
+    product is the base graph itself, so both are one record."""
+    base = _measures(product.base, seed)
+    if not (product.within_cap and power_at_most(product.base.n, product.k,
+                                                 LS_MAX_VERTICES)):
+        return base, None
+    dense = product.to_weighted_graph()
+    return base, base if dense is product.base else _measures(dense, seed)

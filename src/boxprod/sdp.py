@@ -24,6 +24,8 @@ LIFT_MAX_VERTICES = 1 << 10
 LIFT_MAX_SETS = 20000
 # rows of x per block of the triangle scan
 TRIANGLE_BLOCK = 64
+# ordered triples the triangle check scans, or samples beyond
+TRIANGLE_BUDGET = 2_000_000
 # pairs per block of the batched delta check, which bounds its temporaries
 VERIFY_BLOCK_ENTRIES = 1 << 18
 
@@ -64,9 +66,9 @@ class SdpSolution:
     def is_feasible(self, graph: WeightedGraph) -> bool:
         return abs(self.spread(graph) - 1.0) <= CHECK_SLACK
 
-    def unit_norms(self, tol: float = CHECK_SLACK) -> bool:
+    def unit_norms(self) -> bool:
         norms = np.sum(self.vectors ** 2, axis=1)
-        return bool(np.all(np.abs(norms - 1.0) <= tol))
+        return bool(np.all(np.abs(norms - 1.0) <= CHECK_SLACK))
 
     def squared_distances(self) -> np.ndarray:
         g = self.gram()
@@ -131,7 +133,6 @@ def lift_vectors(sol: SdpSolution, product: ProductGraph) -> LiftedSolution:
 @dataclass(frozen=True, eq=False)
 class TriangleReport:
     count: int
-    worst: float
     checked: int
     partial: bool
 
@@ -175,44 +176,35 @@ def _direct_sum(vectors: np.ndarray, coords: np.ndarray) -> np.ndarray:
         [scale * vectors[coords[:, j]] for j in range(coords.shape[1])], axis=1)
 
 
-def _triangle_scan(dist):
+def _triangle_scan(dist) -> int:
     """Count ordered triples (x, y, z) with d(x,z) - d(x,y) - d(y,z) beyond
-    CHECK_SLACK; returns (count, worst slack)."""
+    CHECK_SLACK."""
     n = dist.shape[0]
     count = 0
-    worst = 0.0
     for x0 in range(0, n, TRIANGLE_BLOCK):
         xs = np.arange(x0, min(x0 + TRIANGLE_BLOCK, n))
         slack = dist[xs][:, None, :] - dist[xs][:, :, None] - dist[None, :, :]
-        bad = slack > CHECK_SLACK
-        c = int(bad.sum())
-        if c:
-            worst = max(worst, float(slack[bad].max()))
-        count += c
-    return count, worst
+        count += int((slack > CHECK_SLACK).sum())
+    return count
 
 
-def check_triangle(sol: SdpSolution, *, budget: int = 2_000_000,
-                   seed: int = 0) -> TriangleReport:
+def check_triangle(sol: SdpSolution, *, seed: int = 0) -> TriangleReport:
     """Scan ordered vertex triples for squared-distance triangle
-    violations; samples with a seed when the full scan exceeds the
-    budget."""
+    violations; samples TRIANGLE_BUDGET triples with a seed when the full
+    scan exceeds it."""
     dist = sol.squared_distances()
     n = sol.n
     total = n ** 3
-    if total <= budget:
-        count, worst = _triangle_scan(dist)
-        return TriangleReport(count=count, worst=worst, checked=total,
+    if total <= TRIANGLE_BUDGET:
+        return TriangleReport(count=_triangle_scan(dist), checked=total,
                               partial=False)
     rng = np.random.default_rng(seed)
-    xs = rng.integers(0, n, size=budget)
-    ys = rng.integers(0, n, size=budget)
-    zs = rng.integers(0, n, size=budget)
+    xs = rng.integers(0, n, size=TRIANGLE_BUDGET)
+    ys = rng.integers(0, n, size=TRIANGLE_BUDGET)
+    zs = rng.integers(0, n, size=TRIANGLE_BUDGET)
     slack = dist[xs, zs] - dist[xs, ys] - dist[ys, zs]
-    bad = slack > CHECK_SLACK
-    worst = float(slack[bad].max()) if bad.any() else 0.0
-    return TriangleReport(count=int(bad.sum()), worst=worst, checked=budget,
-                          partial=True)
+    return TriangleReport(count=int((slack > CHECK_SLACK).sum()),
+                          checked=TRIANGLE_BUDGET, partial=True)
 
 
 # -- local distributions (Sherali-Adams style) -----------------------------------

@@ -8,12 +8,15 @@ and product edges by enumerating tuple pairs.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import boxprod as bp
+from boxprod.cli import run
+from boxprod.graphs import write_json
 
 
 # a weighted 4-vertex graph, edges given out of order and reversed
@@ -38,6 +41,23 @@ def p3():
 @pytest.fixture(scope="session")
 def c5():
     return bp.cycle_graph(5)
+
+
+def isoperimetry_report(graph, k, tmp_path):
+    """The report ``analyze isoperimetry --k k`` writes for ``graph``,
+    given as a graph file (seed 0)."""
+    graph_file, report_file = tmp_path / "graph.json", tmp_path / "report.json"
+    write_json(bp.graph_to_dict(graph), graph_file)
+    code = run(["isoperimetry", "--graph", str(graph_file), "--k", str(k),
+                "--out", str(report_file)])
+    report = json.loads(report_file.read_text())
+    assert code == (0 if report["passed"] else 2)
+    return report
+
+
+def checks_by_name(report):
+    """The checks of ``report`` by name."""
+    return {check["name"]: check for check in report["checks"]}
 
 
 def naive_conductance(graph):

@@ -286,7 +286,8 @@ def _break_junta_distance(monkeypatch):
     # a truncation that comes back as the constant -1 rounds to -1, at
     # squared distance 2 from the dictator
     monkeypatch.setattr(influence, "_truncate_to_junta",
-                        lambda f, junta: f.with_values(np.full(f.product.num_vertices, -1.0)))
+                        lambda f, junta: bp.from_values(
+                            f.product, np.full(f.product.num_vertices, -1.0)))
 
 
 def _break_junta_size(monkeypatch):
@@ -477,6 +478,18 @@ def test_huge_graph_file_refused_at_once(tmp_path, capsys):
 
 GOLDEN = {
     "isoperimetry": ["isoperimetry", "--builtin", "k2", "--k", "2", "--seed", "3"],
+    # K3^3 is past the scan but within the descent: no phi_product, no chain_product
+    "isoperimetry-kq3-k3": ["isoperimetry", "--builtin", "kq:3", "--k", "3", "--seed",
+                            "3"],
+    # C5^4 is past the descent: no phi_product, no alpha_product
+    "isoperimetry-cycle5-k4": ["isoperimetry", "--builtin", "cycle:5", "--k", "4",
+                               "--seed", "3"],
+    # the necklace base is past the scan: no phi and no chain at all
+    "isoperimetry-necklace8-k2": ["isoperimetry", "--builtin", "necklace:8", "--k", "2",
+                                  "--seed", "3"],
+    # at k = 1 the product shares the base's scan and descent
+    "isoperimetry-path3-k1": ["isoperimetry", "--builtin", "path:3", "--k", "1", "--seed",
+                              "3"],
     "kkl": ["kkl", "--builtin", "k2", "--k", "3", "--fn", "random", "--seed", "3"],
     "friedgut": ["friedgut", "--builtin", "k2", "--k", "4", "--fn", "dictator",
                  "--seed", "3"],
@@ -583,13 +596,22 @@ def test_sdp_lift_reads_the_values_lift_vectors_checked(monkeypatch, capsys):
     assert calls == {"objective": 3, "spread": 3, "to_weighted_graph": 1}
 
 
-def test_tolerances_are_the_constants_the_checks_read():
-    from boxprod import cli, graphs, influence, isoperimetry, sdp
+def test_tolerances_are_the_constants_the_checks_read(monkeypatch, capsys):
+    from boxprod import cli, graphs, influence, sdp
 
-    assert cli.TOLERANCES["alpha_chain_rel"] == isoperimetry.CHAIN_REL_TOL
-    for module in (sdp, influence, isoperimetry):
+    for module in (sdp, influence):
         assert module.CHECK_SLACK is graphs.CHECK_SLACK
     assert cli.TOLERANCES["check_abs"] == graphs.CHECK_SLACK
+    # the chain checks read their relative slack from the stated tolerances:
+    # below -1 no alpha_hat passes alpha <= lambda_1 * (1 + rel) + 1e-12
+    monkeypatch.setitem(cli.TOLERANCES, "alpha_chain_rel", -1.5)
+    code, out = run_capture(["isoperimetry", "--builtin", "k2", "--k", "2"], capsys)
+    report = json.loads(out)
+    assert code == 2
+    assert report["tolerances"]["alpha_chain_rel"] == -1.5
+    assert {c["name"]: c["passed"] for c in report["checks"]} == {
+        "phi_ratio_is_1_over_k": True, "lambda1_ratio_is_1_over_k": True,
+        "alpha_ratio_near_1_over_k": True, "chain_base": False, "chain_product": False}
 
 
 @pytest.mark.parametrize("k", [11, 16, 17])

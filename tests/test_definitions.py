@@ -1,8 +1,10 @@
 """Every top-level definition in the package is read by the package or
-wrapped by the benchmark's tracer, or it is allowed below with the reason
-it belongs in ``src/`` although only tests and users call it."""
+wrapped by the benchmark's tracer, and every parameter with a default is
+passed by some call in the package, or it is allowed below with the
+reason it belongs in ``src/`` although only tests and users use it."""
 
 import ast
+import math
 from pathlib import Path
 
 from test_tracing import tracing
@@ -24,6 +26,12 @@ ALLOWED = {
     "sdp.random_cut_combination": "generates feasible solutions with no triangle "
                                   "violation to lift",
     "sdp.random_feasible_sdp": "generates feasible basic SDP solutions to lift",
+}
+
+
+ALLOWED_DEFAULTS = {
+    "cli.run(argv)": "the console entry point reads sys.argv; tests and the "
+                     "benchmark pass their own",
 }
 
 
@@ -65,3 +73,65 @@ def test_unread_definitions_are_allowed_or_traced():
               for entries in tracing.LAYERS.values() for module, attr, _, _ in entries}
     unread = [name for name in unread_definitions(sources) if name not in traced]
     assert unread == sorted(ALLOWED)
+
+
+def unpassed_defaults(sources: dict) -> list:
+    """``module.function(parameter)`` of each parameter with a default, on
+    a function defined in ``sources`` (module name -> source), that no
+    call naming the function passes, by keyword or by position.  A method
+    is named ``module.Class.method``, and a call ``x.method(...)`` passes
+    its arguments after the instance."""
+    defaults, positional_passed, keywords_passed = [], {}, {}
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                first = len(positional) - len(args.defaults)
+                offset = first - (in_class and not static)
+                where = (f"{prefix}{child.name}", child.name)
+                defaults.extend((*where, p.arg, offset + i)
+                                for i, p in enumerate(positional[first:]))
+                defaults.extend((*where, p.arg, None)
+                                for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                                if d is not None)
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                count = (math.inf if any(isinstance(a, ast.Starred) for a in child.args)
+                         else len(child.args))
+                positional_passed[name] = max(positional_passed.get(name, 0), count)
+                keywords_passed.setdefault(name, set()).update(
+                    kw.arg for kw in child.keywords)
+            visit(child, prefix, False)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), f"{module}.", False)
+    unpassed = []
+    for qualified, name, param, index in defaults:
+        keywords = keywords_passed.get(name, set())
+        # a ``**mapping`` argument (keyword None) may pass any parameter
+        if not ({param, None} & keywords
+                or (index is not None and index < positional_passed.get(name, 0))):
+            unpassed.append(f"{qualified}({param})")
+    return sorted(unpassed)
+
+
+def test_checker_flags_an_unpassed_default():
+    sources = {"a": "def f(x, y=1, *, z=2, r=3):\n    return x\n"
+                    "def g(w=0):\n    return f(1, 2, z=w) + g()\n"
+                    "def h(q=0):\n    return h(**{}) + f(0, *[])\n",
+               "b": "class C:\n    def m(self, t=1):\n        return t\n"
+                    "    def n(self, u=1):\n        return self.m(u)\n"}
+    assert unpassed_defaults(sources) == ["a.f(r)", "a.g(w)", "b.C.n(u)"]
+
+
+def test_every_default_is_passed_by_the_package_or_allowed():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert unpassed_defaults(sources) == sorted(ALLOWED_DEFAULTS)

@@ -214,7 +214,6 @@ def test_constructors_check_the_cap_before_allocating(k2, monkeypatch):
     monkeypatch.setattr(functions, "from_values", lambda *a: pytest.fail(
         "values built before the dense cap check"))
     for build in (lambda: bp.dictator(prod, 2), lambda: bp.parity(prod),
-                  lambda: bp.random_boolean(prod, _NoDraws()),
-                  lambda: bp.random_boolean(prod, _NoDraws(), balanced=True)):
+                  lambda: bp.random_boolean(prod, _NoDraws())):
         with pytest.raises(bp.DenseCapError):
             build()

@@ -320,7 +320,7 @@ def _off_junta_oracle(f, junta, order):
     coordinates are taken in ``order``, by the dense oracle."""
     parts = [np.array(naive_component(f, j, order)) for j in range(f.k) if j not in junta]
     total = sum(parts) if parts else np.zeros(f.product.num_vertices)
-    return total, sum(bp.dirichlet_form(f.with_values(p)) for p in parts)
+    return total, sum(bp.dirichlet_form(bp.from_values(f.product, p)) for p in parts)
 
 
 def test_off_junta_energy_is_the_energy_of_f_minus_g_real(k2, k3, p3):
@@ -337,8 +337,8 @@ def test_off_junta_energy_is_the_energy_of_f_minus_g_real(k2, k3, p3):
             real_diff = f.values - _truncate_to_junta(f, set(junta)).values
             total, energy = _off_junta_oracle(f, junta, order)
             assert np.allclose(total, real_diff, atol=1e-12)
-            assert math.isclose(bp.dirichlet_form(f.with_values(real_diff)), energy,
-                                abs_tol=1e-12)
+            assert math.isclose(bp.dirichlet_form(bp.from_values(f.product, real_diff)),
+                                energy, abs_tol=1e-12)
 
 
 def test_friedgut_junta_leads_the_variance_order(k2, k3):
@@ -359,7 +359,8 @@ def test_friedgut_junta_leads_the_variance_order(k2, k3):
         partial += 0 < len(res.junta) < f.k
         total, energy = _off_junta_oracle(f, res.junta, order)
         assert np.allclose(total, f.values - res.g_real.values, atol=1e-12)
-        assert math.isclose(bp.dirichlet_form(f.with_values(total)), energy, abs_tol=1e-12)
+        assert math.isclose(bp.dirichlet_form(bp.from_values(f.product, total)), energy,
+                            abs_tol=1e-12)
     assert partial >= 2
 
 

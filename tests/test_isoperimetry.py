@@ -8,7 +8,7 @@ import pytest
 
 import boxprod as bp
 from boxprod import isoperimetry as iso
-from conftest import naive_conductance
+from conftest import checks_by_name, isoperimetry_report, naive_conductance
 from descent_reference import (DATA, REFERENCE_GRAPHS, SAVED, SEEDS, reference_descend,
                                reference_estimate, reference_starts)
 
@@ -133,64 +133,71 @@ def test_hypercube_alpha_anchor(k2):
         assert abs(est.alpha_hat - 2.0 / k) <= 0.05
 
 
-def chain_of(g):
-    """The chain ``analyze isoperimetry`` reports for ``g``: at k = 1 the
-    product is the base graph."""
-    return bp.product_scaling_report(bp.cartesian_power(g, 1), seed=0).chain_base
+def chain_of(g, tmp_path):
+    """The ``chain_base`` check ``analyze isoperimetry`` reports for ``g``:
+    at k = 1 the product is the base graph."""
+    return checks_by_name(isoperimetry_report(g, 1, tmp_path))["chain_base"]
 
 
-def test_chain_check(k2, k3, p3):
+def test_chain_check(k2, k3, p3, tmp_path):
     for g in (k2, k3, p3):
-        rep = chain_of(g)
-        assert rep.chain_ok
-        assert rep.lambda1 <= 2.0 * rep.phi + 1e-9
+        chain = chain_of(g, tmp_path)
+        assert chain["passed"]
+        assert chain["detail"]["lambda1"] <= 2.0 * chain["detail"]["phi"] + 1e-9
 
 
 def test_chain_witnesses_reproduce_values(k3, c5):
     for g in (k3, c5):
-        rep = chain_of(g)
-        mask = sum(1 << v for v in rep.phi_witness)
-        assert math.isclose(bp.cut_ratio(g, mask), rep.phi, abs_tol=1e-12)
-        assert math.isclose(bp.witness_ratio(g, rep.alpha_witness),
-                            rep.alpha_hat, rel_tol=1e-12)
+        base, power = bp.product_scaling_report(bp.cartesian_power(g, 1), seed=0)
+        assert power is base
+        phi, witness = base.scan
+        mask = sum(1 << v for v in witness)
+        assert math.isclose(bp.cut_ratio(g, mask), phi, abs_tol=1e-12)
+        assert math.isclose(bp.witness_ratio(g, base.estimate.witness),
+                            base.estimate.alpha_hat, rel_tol=1e-12)
 
 
-def test_chain_k3_values(k3):
-    rep = chain_of(k3)
-    assert math.isclose(rep.lambda1, 1.5, abs_tol=1e-9)
-    assert math.isclose(rep.phi, 0.75, abs_tol=1e-12)
-    assert rep.alpha_hat <= 1.5 + 1e-6
+def test_chain_k3_values(k3, tmp_path):
+    detail = chain_of(k3, tmp_path)["detail"]
+    assert math.isclose(detail["lambda1"], 1.5, abs_tol=1e-9)
+    assert math.isclose(detail["phi"], 0.75, abs_tol=1e-12)
+    assert detail["alpha_hat"] <= 1.5 + 1e-6
 
 
-def test_scaling_report_k2(k2):
-    rep = bp.product_scaling_report(bp.cartesian_power(k2, 2), seed=0)
-    assert math.isclose(rep.phi_ratio, 0.5, abs_tol=1e-9)
-    assert math.isclose(rep.lambda1_ratio, 0.5, abs_tol=1e-15)
-    assert abs(rep.alpha_ratio - 0.5) <= 0.05
+def test_scaling_report_k2(k2, tmp_path):
+    checks = checks_by_name(isoperimetry_report(k2, 2, tmp_path))
+    assert math.isclose(checks["phi_ratio_is_1_over_k"]["detail"]["phi_ratio"], 0.5,
+                        abs_tol=1e-9)
+    assert math.isclose(checks["lambda1_ratio_is_1_over_k"]["detail"]["lambda1_ratio"],
+                        0.5, abs_tol=1e-15)
+    assert abs(checks["alpha_ratio_near_1_over_k"]["detail"]["alpha_ratio"] - 0.5) <= 0.05
 
 
-def test_scaling_report_k3(k3):
-    rep = bp.product_scaling_report(bp.cartesian_power(k3, 2), seed=0)
-    assert math.isclose(rep.phi_product, 0.375, abs_tol=1e-9)
-    assert not rep.partial
+def test_scaling_report_k3(k3, tmp_path):
+    results = isoperimetry_report(k3, 2, tmp_path)["results"]
+    assert math.isclose(results["phi_product"], 0.375, abs_tol=1e-9)
+    assert not results["partial"]
 
 
-def test_scaling_report_partial_when_big(c5):
-    rep = bp.product_scaling_report(bp.cartesian_power(c5, 4), seed=0)
-    assert rep.partial
-    assert rep.phi_product is None
-    assert math.isclose(rep.lambda1_ratio, 0.25, abs_tol=1e-15)
+def test_scaling_report_partial_when_big(c5, tmp_path):
+    report = isoperimetry_report(c5, 4, tmp_path)
+    assert report["results"]["partial"]
+    assert report["results"]["phi_product"] is None
+    lambda1_check = checks_by_name(report)["lambda1_ratio_is_1_over_k"]
+    assert math.isclose(lambda1_check["detail"]["lambda1_ratio"], 0.25, abs_tol=1e-15)
 
 
-def test_scaling_report_partial_base():
+def test_scaling_report_partial_base(tmp_path):
     # 30 classes: subset enumeration infeasible at the base level too
     neck = bp.build_necklace(8)
-    rep = bp.product_scaling_report(bp.cartesian_power(neck, 2), seed=0)
-    assert rep.partial
-    assert rep.phi_base is None
-    assert rep.phi_ratio is None
-    assert rep.alpha_base is not None
-    assert math.isclose(rep.lambda1_ratio, 0.5, abs_tol=1e-15)
+    report = isoperimetry_report(neck, 2, tmp_path)
+    checks = checks_by_name(report)
+    assert report["results"]["partial"]
+    assert report["results"]["phi_base"] is None
+    assert "phi_ratio_is_1_over_k" not in checks
+    assert report["results"]["alpha_base"] is not None
+    assert math.isclose(checks["lambda1_ratio_is_1_over_k"]["detail"]["lambda1_ratio"],
+                        0.5, abs_tol=1e-15)
 
 
 def test_phi_product_scaling_family(k2, k3, p3):
