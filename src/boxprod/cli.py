@@ -364,8 +364,9 @@ def run(argv=None) -> int:
         return exc.code or 0
     try:
         body = _COMMANDS[args.command](args)
-    except (UsageError, OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError, ValueError, RuntimeError, MemoryError) as exc:
+        # a bare MemoryError has no message; numpy's names the refused array
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

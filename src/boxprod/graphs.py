@@ -103,19 +103,19 @@ class WeightedGraph:
         """Energy form of f, or an array of it for each row of f: half the
         mu-expectation of (f(u)-f(v))^2, each row summed as if alone."""
         d = np.take(f, self.edge_u, axis=-1) - np.take(f, self.edge_v, axis=-1)
-        return 0.5 * np.sum(self.edge_w * d * d, axis=-1)
+        return 0.5 * (self.edge_w * d * d).sum(axis=-1)
 
 
 def log0(x):
     """Elementwise log with log(0) = 0, for the 0*log(0) = 0 convention."""
-    return np.log(x, out=np.zeros_like(x), where=x > 0.0)
+    return np.log(x, out=np.zeros(np.shape(x)), where=x > 0.0)
 
 
 def entropy_sq(pi: np.ndarray, f: np.ndarray):
     """Entropy of f^2, or of each row's square, under pi; 0*log(0) = 0."""
     f2 = f * f
-    n2 = np.sum(pi * f2, axis=-1)
-    return np.sum(pi * f2 * log0(f2), axis=-1) - n2 * log0(n2)
+    n2 = (pi * f2).sum(axis=-1)
+    return (pi * f2 * log0(f2)).sum(axis=-1) - n2 * log0(n2)
 
 
 def _connected_components(edge_u, edge_v):

@@ -233,62 +233,61 @@ def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], other[..., None])[:, 0, 0]
 
 
+@np.errstate(all="ignore")  # dead rows run through every round
 def _lockstep_descent(graph, starts):
     """Projected descent of 2*energy/entropy from each row of ``starts``,
-    in lockstep and bit for bit as from each start alone (see README).
-    Each row's step is the Barzilai-Borwein step s.y / y.y of its last
-    accepted move s and the gradient change y over it, or its last step
-    times 1.25 where that ratio is not finite and positive.  Returns each
-    row's final ratio (inf where its start's entropy is below
-    ENTROPY_FLOOR) and function."""
+    in lockstep on whole arrays and bit for bit as from each start alone
+    (see README).  Each row's step is the Barzilai-Borwein step s.y / y.y
+    of its last accepted move s and the gradient change y over it, or its
+    last step times 1.25 where that ratio is not finite and positive.
+    Returns each row's final ratio (inf where its start's entropy is
+    below ENTROPY_FLOOR) and function."""
     pi = graph.pi
     f = starts / np.sqrt(_row_dots(starts * starts, pi))[:, None]
     energy, ent = graph.dirichlet(f), entropy_sq(pi, f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(ent >= ENTROPY_FLOOR, 2.0 * energy / ent, np.inf)
     live = ent >= ENTROPY_FLOOR
+    ratio = np.where(live, 2.0 * energy / ent, np.inf)
     step = np.full(len(f), 0.1)
     iters, tries = np.zeros((2, len(f)), dtype=np.int64)
-    # each row's gradient and last accepted move; a row that has not
-    # moved has s = 0, so s.y = 0 keeps its step
+    # each row's gradient and last accepted move; a row that has not moved
+    # gets its gradient again bit for bit: y = 0, so s.y = 0 keeps its step
     grad, move = np.zeros_like(f), np.zeros_like(f)
-    moved = np.flatnonzero(live)
+    moved = True
     while live.any():
-        if len(moved):
-            g, f2 = f[moved], f[moved] * f[moved]
-            # libm's log: np.log may round differently
-            log_n2 = np.array([math.log(x) for x in _row_dots(f2, pi).tolist()])
-            grad_energy = 2.0 * np.matmul(graph.laplacian, g[:, :, None])[:, :, 0]
-            grad_ent = 2.0 * pi * g * (log0(f2) - log_n2[:, None])
-            e, h = energy[moved, None], ent[moved, None]
+        if moved:
+            f2 = f * f
+            # libm's log: np.log may round differently; math.log refuses
+            # the zero norm a dead row may have
+            log_n2 = np.array([math.log(x) if x > 0.0 else 0.0
+                               for x in _row_dots(f2, pi).tolist()])
+            grad_energy = 2.0 * np.matmul(graph.laplacian, f[:, :, None])[:, :, 0]
+            grad_ent = 2.0 * pi * f * (log0(f2) - log_n2[:, None])
+            e, h = energy[:, None], ent[:, None]
             new = (2.0 * grad_energy * h - 2.0 * e * grad_ent) / (h * h)
-            y = new - grad[moved]
-            sy = _row_dots(move[moved], y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bb = sy / _row_dots(y, y)
-            bb_ok = (sy > 0.0) & np.isfinite(bb)
-            step[moved[bb_ok]] = bb[bb_ok]
-            grad[moved] = new
-        rows = np.flatnonzero(live)
-        cand = f[rows] - step[rows, None] * grad[rows]
-        cand /= np.sqrt(_row_dots(cand * cand, pi))[:, None]
+            y = new - grad
+            sy = _row_dots(move, y)
+            bb = sy / _row_dots(y, y)
+            np.copyto(step, bb, where=live & (sy > 0.0) & np.isfinite(bb))
+            grad = new
+        raw = f - step[:, None] * grad
+        cand = raw / np.sqrt(_row_dots(raw * raw, pi))[:, None]
         c_energy, c_ent = graph.dirichlet(cand), entropy_sq(pi, cand)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_ratio = 2.0 * c_energy / c_ent
-        ok = (c_ent >= ENTROPY_FLOOR) & (c_ratio < ratio[rows] - 1e-18)
-        failed, moved = rows[~ok], rows[ok]
-        step[failed] *= 0.5
-        tries[failed] += 1
-        live[failed[tries[failed] == 60]] = False
-        rel = (ratio[moved] - c_ratio[ok]) / np.maximum(np.abs(ratio[moved]), 1e-30)
-        move[moved] = cand[ok] - f[moved]
-        f[moved], ratio[moved] = cand[ok], c_ratio[ok]
-        energy[moved], ent[moved] = c_energy[ok], c_ent[ok]
-        step[moved] *= 1.25
-        iters[moved] += 1
-        tries[moved] = 0
-        live[moved[(rel < LS_TOL) | (iters[moved] == LS_MAX_ITERS)]] = False
-        moved = moved[live[moved]]
+        c_ratio = 2.0 * c_energy / c_ent
+        ok = live & (c_ent >= ENTROPY_FLOOR) & (c_ratio < ratio - 1e-18)
+        rel = (ratio - c_ratio) / np.maximum(np.abs(ratio), 1e-30)
+        # a rejected row whose step no longer moves f stops at once: rounding
+        # is monotone, so each halved step leaves f as it is and is rejected
+        stuck = (raw == f).all(axis=1)
+        np.copyto(move, cand - f, where=ok[:, None])
+        np.copyto(f, cand, where=ok[:, None])
+        for state, value in ((ratio, c_ratio), (energy, c_energy), (ent, c_ent)):
+            np.copyto(state, value, where=ok)
+        np.copyto(step, step * np.where(ok, 1.25, 0.5), where=live)
+        iters += ok
+        np.copyto(tries, np.where(ok, 0, tries + 1), where=live)
+        live &= ~np.where(ok, (rel < LS_TOL) | (iters == LS_MAX_ITERS),
+                          (tries == 60) | stuck)
+        moved = (ok & live).any()
     return ratio, f
 
 

@@ -427,6 +427,26 @@ def test_huge_power_meets_the_dense_cap_at_once(capsys):
     assert elapsed < 1.0
 
 
+_NUMPY_REFUSAL = ("Unable to allocate 8.00 TiB for an array with shape "
+                  "(1099511627776,) and data type float64")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(_NUMPY_REFUSAL), _NUMPY_REFUSAL),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_memory_error_exit_one_without_traceback(exc, message, monkeypatch, capsys):
+    from boxprod import cli
+
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "product_scaling_report", refuse)
+    code = run(["isoperimetry", "--builtin", "k2", "--k", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
 def test_lift_over_the_set_cap_refused_at_once(capsys):
     # 43,744 product subsets of 1..3 of the 64 vertices of K2^6: the SA
     # lift is refused before it builds a table
