@@ -50,11 +50,17 @@ def scannable(graph_or_product) -> WeightedGraph:
 def _row_sums(values: np.ndarray, select: np.ndarray) -> np.ndarray:
     """``np.sum(values[row])`` for each boolean row of ``select``, bit for
     bit: numpy's pairwise summation depends only on the length of what
-    it adds, so the rows that select equally many values are compressed
-    into one matrix and summed along its rows."""
+    it adds.  So when all of ``values`` are one float, each count is
+    summed once; otherwise the rows of equal count are compressed into
+    one matrix and summed along its rows."""
     counts = select.sum(axis=1)
+    occurring = np.flatnonzero(np.bincount(counts))
+    if np.all(values == values[:1]):
+        per_count = np.empty(select.shape[1] + 1)
+        per_count[occurring] = [np.sum(np.repeat(values[:1], c)) for c in occurring]
+        return per_count[counts]
     out = np.empty(len(select))
-    for count in np.flatnonzero(np.bincount(counts)):
+    for count in occurring:
         rows = counts == count
         group = select[rows]
         picked = np.broadcast_to(values, group.shape)[group]
@@ -65,7 +71,10 @@ def _row_sums(values: np.ndarray, select: np.ndarray) -> np.ndarray:
 def cut_ratios(graph: WeightedGraph, masks) -> np.ndarray:
     """Canonical set-form ratio 0.25 * cut mass / (vol(S) * vol(~S)) of
     each subset mask."""
-    masks = np.asarray(masks, dtype=np.int64)
+    try:
+        masks = np.asarray(masks, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("cut-ratio masks are int64: 63 vertices at most") from None
     if not np.all((masks > 0) & (masks < (1 << graph.n) - 1)):
         raise ValueError("a cut ratio needs a proper nonempty vertex subset")
     bits = ((masks[:, None] >> np.arange(graph.n, dtype=np.int64)) & 1) == 1

@@ -90,12 +90,53 @@ def test_scan_matches_scalar_reference_bitwise(name, block, monkeypatch):
     assert bp.conductance_bruteforce(g) == _reference_conductance(g)
 
 
-@pytest.mark.parametrize("name", ["C5", "K3^2", "weighted 6", "weighted 7"])
+def _dense_two_weights():
+    """Every pair of 20 vertices joined, at one of two weights: neither
+    the edge masses nor the vertex masses are all equal."""
+    rng = np.random.default_rng(5)
+    return bp.build_graph(20, [(u, v, 1.0 + 2.0 * rng.integers(2))
+                               for u in range(20) for v in range(u + 1, 20)])
+
+
+BATCH_GRAPHS = {
+    **{name: SMALL_GRAPHS[name] for name in ["C5", "K3^2", "weighted 6", "weighted 7"]},
+    # equal masses: each count is summed once
+    "K12": bp.complete_graph(12),
+    "C12": bp.cycle_graph(12),
+    "K4^2": bp.cartesian_power(bp.complete_graph(4), 2).to_weighted_graph(),
+    "K2^4": bp.cartesian_power(bp.complete_graph(2), 4).to_weighted_graph(),
+    # cut counts past numpy's pairwise blocks of 8 and 128 summands
+    "K17": bp.complete_graph(17),
+    "K25": bp.complete_graph(25),
+    "dense 20, two weights": _dense_two_weights(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_GRAPHS))
 def test_batched_ratios_match_scalar_bitwise(name):
-    g = SMALL_GRAPHS[name]
-    masks = np.arange(1, (1 << g.n) - 1)
+    g = BATCH_GRAPHS[name]
+    if g.n <= 12:
+        masks = np.arange(1, (1 << g.n) - 1)
+    else:
+        masks = np.random.default_rng(g.n).integers(1, (1 << g.n) - 1, size=3000)
     batched = bp.cut_ratios(g, masks)
     assert batched.tolist() == [_scalar_cut_ratio(g, int(m)) for m in masks]
+
+
+@pytest.mark.parametrize("g", [bp.complete_graph(8), bp.complete_graph(12),
+                               _relabel(BATCH_GRAPHS["K2^4"], 3)],
+                         ids=["K8", "K12", "K2^4 relabelled"])
+def test_witness_on_a_full_plateau(g):
+    # every proper subset ties on the complete graphs, so the witness is
+    # the lexicographic minimum of the widest tie
+    assert bp.conductance_bruteforce(g) == _reference_conductance(g)
+
+
+def test_cut_ratios_of_no_masks(c5):
+    for masks in ([], np.zeros(0, dtype=np.int64)):
+        ratios = bp.cut_ratios(c5, masks)
+        assert ratios.shape == (0,) and ratios.dtype == np.float64
+    assert bp.cut_ratios(BATCH_GRAPHS["dense 20, two weights"], []).shape == (0,)
 
 
 @pytest.fixture
@@ -132,6 +173,18 @@ def test_cut_ratio_refuses_empty_and_full_sets(c5):
     for mask in (0, (1 << c5.n) - 1):
         with pytest.raises(ValueError, match="proper"):
             bp.cut_ratio(c5, mask)
+
+
+def test_cut_ratio_refuses_masks_beyond_int64():
+    g = bp.cycle_graph(70)
+    with pytest.raises(ValueError, match="63 vertices"):
+        bp.cut_ratio(g, 1 << 69)
+    with pytest.raises(ValueError, match="63 vertices"):
+        bp.cut_ratios(g, [1, 1 << 63])
+    # one vertex of C70: a cut of 2 of 70 edges over the volumes 1/70 and 69/70
+    assert math.isclose(bp.cut_ratio(g, 1), 35 / 69, rel_tol=1e-15)
+    assert math.isclose(bp.cut_ratio(g, (1 << 62) - 1), 0.25 * (2 / 70) / (62 / 70 * 8 / 70),
+                        rel_tol=1e-14)
 
 
 def test_plateau_raises_runtime_error():
