@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -234,7 +234,7 @@ class ProductGraph:
     base: WeightedGraph
     k: int
     dense_cap: int = DENSE_CAP
-    _pi_powers: dict = field(default_factory=dict, init=False, repr=False)
+    _pi_powers: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -260,12 +260,15 @@ class ProductGraph:
             )
 
     def _pi_power(self, m: int) -> np.ndarray:
-        """Read-only kron power ``pi^{(x)m}``, built once per exponent."""
-        if m not in self._pi_powers:
-            out = reduce(np.kron, [self.base.pi] * m, np.array([1.0]))
+        """Read-only kron power ``pi^{(x)m}``, built once from the power below
+        it: entry by entry the left-to-right product of ``np.kron``."""
+        powers = self._pi_powers
+        while len(powers) <= m:
+            out = (np.multiply.outer(powers[-1], self.base.pi).ravel()
+                   if powers else np.ones(1))
             out.setflags(write=False)
-            self._pi_powers[m] = out
-        return self._pi_powers[m]
+            powers.append(out)
+        return powers[m]
 
     def pi_product(self) -> np.ndarray:
         """Flat product vertex measure (row-major, read-only, cached)."""

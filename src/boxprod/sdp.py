@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -209,11 +210,17 @@ def check_triangle(sol: SdpSolution, *, seed: int = 0) -> TriangleReport:
 
 # -- local distributions (Sherali-Adams style) -----------------------------------
 
-def _project(table: dict, pos) -> dict:
-    """Marginal of an assignment table onto the slots ``pos``."""
+def _slots(pos):
+    """Getter of the slots ``pos`` of a tuple, as a tuple.  A one-index
+    ``itemgetter`` returns the bare item, so one slot is read as a slice."""
+    return itemgetter(*pos) if len(pos) > 1 else itemgetter(slice(pos[0], pos[0] + 1))
+
+
+def _project(table: dict, slots) -> dict:
+    """Marginal of an assignment table onto a ``_slots`` getter, in its order."""
     out: dict = {}
     for assign, p in table.items():
-        key = tuple(assign[i] for i in pos)
+        key = slots(assign)
         out[key] = out.get(key, 0.0) + p
     return out
 
@@ -268,12 +275,18 @@ class LocalDistributions:
         the max disagreement g of tables meeting in C satisfy g' <= g <= 2g'.
         """
         worst = 0.0
+        getters = {size: [_slots(pos) for pos in _subsets(range(size), 1, size - 1)]
+                   for size in {len(s) for s in self.tables}}
         for subset, table in self.tables.items():
-            for pos in _subsets(range(len(subset)), 1, len(subset) - 1):
-                m = _project(table, pos)
-                sub = self.tables[tuple(subset[i] for i in pos)]
-                for key in m.keys() | sub.keys():
-                    worst = max(worst, abs(m.get(key, 0.0) - sub.get(key, 0.0)))
+            for slots in getters[len(subset)]:
+                m = _project(table, slots)
+                sub = self.tables[slots(subset)]
+                # entries are finite (``check_tables``): the max is that of any order
+                for key, p in m.items():
+                    worst = max(worst, abs(p - sub.get(key, 0.0)))
+                for key, q in sub.items():
+                    if key not in m:
+                        worst = max(worst, abs(q))
         return worst
 
     def check_vector_consistency(self, sol: SdpSolution) -> float:
@@ -290,7 +303,7 @@ def sa_from_distribution(dist: dict, n: int, level: int) -> LocalDistributions:
     A family over ``LIFT_MAX_SETS`` is refused before it is built: its
     lift to any power lists at least as many sets."""
     _require_liftable(n, 1, level)
-    tables = {subset: _project(dist, subset)
+    tables = {subset: _project(dist, _slots(subset))
               for subset in _subsets(range(n), 1, level)}
     return LocalDistributions(level=level, tables=tables)
 
@@ -365,7 +378,7 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
             # the slots hit every vertex of collapsed, so the projection sums
             # nothing and p / k is added once per coordinate
             pos = [collapsed.index(v) for v in column]
-            for key, p in _project(ld.tables[collapsed], pos).items():
+            for key, p in _project(ld.tables[collapsed], _slots(pos)).items():
                 q = p / k
                 for table in members:
                     table[key] = table.get(key, 0.0) + q
@@ -399,29 +412,45 @@ class SetVectorSolution:
         The rows are taken in blocks. A block is paired with itself, each
         unordered pair once, and then with every row after it: the pair
         (j, i) would repeat the class and, bit for bit, the value of (i, j).
+        Sets share vectors: a block takes its distinct vectors against those
+        it or a later row holds (at most rows x n values), gathered by ids.
         ``np.vecdot`` runs the inner loop of ``np.dot``, so every value
         equals the per-pair ``np.dot`` exactly; a GEMM Gram would not.  Each
-        block is reduced to per-class extremes, and the reductions are
-        merged once they hold as many classes as the merged result.
+        block is reduced to per-class extremes, and the reductions are merged
+        once they hold as many classes as the merged result, and at the end.
         """
         keys = self.subsets()
         vecs = np.stack([self.vectors[s] for s in keys])
-        # symmetric differences as XORs of membership bits packed into words
-        words = np.packbits(_membership(keys), axis=1).view(np.uint64)
+        # each set gets the id of its vector's bytes
+        index: dict = {}
+        ids = np.array([index.setdefault(v.tobytes(), len(index)) for v in vecs])
+        distinct = vecs[np.unique(ids, return_index=True)[1]]
+        # symmetric differences as XORs of packed membership words, one array each
+        words = list(np.packbits(_membership(keys), axis=1).view(np.uint64).T.copy())
         rows = max(1, VERIFY_BLOCK_ENTRIES // len(keys))
         parts = []
         for r0 in range(0, len(keys), rows):
             r1 = min(r0 + rows, len(keys))
+            own, at = np.unique(ids[r0:r1], return_inverse=True)
+            # ids number the vectors by first row: columns below the least id from
+            # r0 on are never read (all of them before r0 when no vector repeats)
+            least = ids[r0:].min()
+            gram = np.vecdot(distinct[own, None, :], distinct[None, least:, :])
             i, j = np.triu_indices(r1 - r0)
-            dots = np.vecdot(vecs[r0:r1, None, :], vecs[None, r0:r1, :])[i, j]
-            parts.append(_class_extremes(words[r0 + i] ^ words[r0 + j], dots, dots))
+            parts.append(_class_extremes([w[r0 + i] ^ w[r0 + j] for w in words],
+                                         gram[at[i], ids[r0 + j] - least]))
             if r1 < len(keys):
-                dots = np.vecdot(vecs[r0:r1, None, :], vecs[None, r1:, :]).ravel()
-                delta = words[r0:r1, None, :] ^ words[None, r1:, :]
-                parts.append(_class_extremes(delta.reshape(-1, words.shape[1]), dots, dots))
-            if len(parts) > 1 and sum(len(p[1]) for p in parts[1:]) >= len(parts[0][1]):
-                parts = [_class_extremes(*map(np.concatenate, zip(*parts)))]
-        _, high, low = _class_extremes(*map(np.concatenate, zip(*parts)))
+                parts.append(_class_extremes(
+                    [(w[r0:r1, None] ^ w[None, r1:]).ravel() for w in words],
+                    gram[at][:, ids[r1:] - least].ravel()))
+            if len(parts) > 1 and (r1 == len(keys) or sum(
+                    len(p[1]) for p in parts[1:]) >= len(parts[0][1])):
+                # each concatenation is an argument of its own, freed once sorted
+                parts = [_class_extremes(
+                    [np.concatenate(c) for c in zip(*(p[0] for p in parts))],
+                    np.concatenate([p[1] for p in parts]),
+                    np.concatenate([p[2] for p in parts]))]
+        _, high, low = parts[0]
         return max(0.0, float((high - low).max()))
 
 
@@ -437,16 +466,18 @@ def _membership(keys) -> np.ndarray:
     return member
 
 
-def _class_extremes(words, high, low):
-    """One row per distinct row of ``words``: the max of ``high`` and the
-    min of ``low`` over the rows equal to it.  A row of one word is its own
-    sort key; wider rows are sorted word by word."""
-    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
-    words = words[order]
+def _class_extremes(words: list, high, low=None):
+    """One class per distinct key, given as one array per word: its words,
+    the max of ``high`` and the min of ``low`` (default ``high``) over its
+    entries.  One word is its own sort key; more are sorted word by word."""
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    words = [w[order] for w in words]
     start = np.flatnonzero(np.concatenate(
-        ([True], (words[1:] != words[:-1]).any(axis=1))))
-    return (words[start], np.maximum.reduceat(high[order], start),
-            np.minimum.reduceat(low[order], start))
+        ([True], np.logical_or.reduce([w[1:] != w[:-1] for w in words]))))
+    high = high[order]
+    low = high if low is None else low[order]
+    return ([w[start] for w in words], np.maximum.reduceat(high, start),
+            np.minimum.reduceat(low, start))
 
 
 def _parity_codes(coords: np.ndarray, n: int) -> np.ndarray:

@@ -209,6 +209,19 @@ def test_product_measures_cached_read_only(k2, k3, p3):
         assert rest.tolist() == _kron_chain(g.pi, k - 1).tolist()
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_product_measures_equal_the_kron_chain_bytes(k, k3, p3, c5):
+    # each power is built from the one below it, in any order of requests
+    for g in (p3, c5, k3, bp.graph_from_dict(WEIGHTED4)):
+        prod = bp.cartesian_power(g, k)
+        rest = prod.pi_rest()
+        assert rest.tobytes() == _kron_chain(g.pi, k - 1).tobytes()
+        assert prod.pi_product().tobytes() == _kron_chain(g.pi, k).tobytes()
+        prod = bp.cartesian_power(g, k)
+        assert prod.pi_product().tobytes() == _kron_chain(g.pi, k).tobytes()
+        assert prod.pi_rest().tobytes() == rest.tobytes()
+
+
 def test_cached_measures_keep_the_cap_checks(k2):
     # 2^11 vertices over a cap of 2^10: the rest measure fits, the full does not
     prod = bp.cartesian_power(k2, 11, dense_cap=1 << 10)

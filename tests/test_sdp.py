@@ -435,13 +435,22 @@ def test_family_without_a_sub_set_refused(monkeypatch, k2):
 
 # -- verifiers against the pairwise loops they replaced ------------------------
 
+def _plain_project(table, pos):
+    """Marginal of ``table`` onto the slots ``pos``, summed in the table's
+    order: the projection of the verifier, written out entry by entry."""
+    out = {}
+    for assign, p in table.items():
+        key = tuple(assign[i] for i in pos)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
 def _marginal_gap_loop(ld, nested=False):
     """Max disagreement of the marginals of tables meeting in a nonempty C;
     with ``nested``, only of the pairs where C is one of the two sets."""
-    from boxprod.sdp import _project
 
     def marginal(subset, onto):
-        return _project(ld.tables[subset], [subset.index(v) for v in onto])
+        return _plain_project(ld.tables[subset], [subset.index(v) for v in onto])
 
     worst = 0.0
     for t1, t2 in itertools.combinations(ld.subsets(), 2):
@@ -530,6 +539,21 @@ def test_lifted_marginal_gap_equals_pairwise_loop(block_entries, seed, k2, k3):
         assert gap == _sub_table_bounds(lifted)[0]
 
 
+@pytest.mark.parametrize("pos", [(0,), (1,), (2,), (0, 2), (2, 0, 1)])
+def test_project_keys_are_tuples_of_the_slots(pos):
+    # a one-index itemgetter returns the bare item, not a 1-tuple
+    from boxprod.sdp import _project, _slots
+
+    rng = np.random.default_rng(len(pos))
+    ld = _random_tables(rng, 3, 3)
+    table = ld.tables[(0, 1, 2)]
+    got = _project(table, _slots(pos))
+    assert [(key, p.hex()) for key, p in got.items()] \
+        == [(key, p.hex()) for key, p in _plain_project(table, pos).items()]
+    if len(pos) == 1:
+        assert set(got) == set(ld.tables[pos]) == {(-1,), (1,)}
+
+
 def test_marginal_gap_reads_each_table_against_its_sub_tables():
     # the pair tables push the marginal on (0,) by +d and -d: each is d
     # from the table of (0,), and 2d from the other pair table
@@ -594,6 +618,37 @@ def test_delta_gap_over_two_membership_words(block_entries):
     assert gap == _delta_gap_loop(ls)
 
 
+@pytest.mark.parametrize("entries", [1, 64, 256, None])
+def test_delta_gram_stays_within_the_block_budget(monkeypatch, entries, k3):
+    # the Gram of a block's distinct vectors holds at most rows x n entries;
+    # one row against every set is the floor
+    from boxprod import sdp
+
+    if entries is not None:
+        monkeypatch.setattr(sdp, "VERIFY_BLOCK_ENTRIES", entries)
+    sizes = []
+    vecdot = np.vecdot
+
+    def counted(*args, **kwargs):
+        out = vecdot(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    rng = np.random.default_rng(5)
+    shared = bp.lift_lasserre(_random_set_vectors(rng, 3, 2, 3), bp.cartesian_power(k3, 2), 2)
+    distinct = _random_set_vectors(rng, 6, 3, 4)
+    assert len({v.tobytes() for v in shared.vectors.values()}) < len(shared.vectors)
+    assert len({v.tobytes() for v in distinct.vectors.values()}) == len(distinct.vectors)
+    for ls in (shared, distinct):
+        sizes.clear()
+        monkeypatch.setattr(np, "vecdot", counted)
+        gap = ls.check_delta_consistency()
+        monkeypatch.setattr(np, "vecdot", vecdot)
+        assert 0 < max(sizes) <= max(sdp.VERIFY_BLOCK_ENTRIES, len(ls.vectors))
+        assert gap > 0.0
+        assert gap == _delta_gap_loop(ls)
+
+
 def _vector_gap_loop(ld, sol, vertex_index):
     gram = sol.gram()
     worst = 0.0
@@ -652,16 +707,14 @@ def _product_family(n, k, low, level):
 
 
 def _sa_lift_loop(ld, n, k):
-    """Lifted tables with one ``_project`` call per set and coordinate."""
-    from boxprod.sdp import _project
-
+    """Lifted tables with one projection per set and coordinate."""
     tables = {}
     for subset in _product_family(n, k, 1, ld.level):
         table: dict = {}
         for j in range(k):
             collapsed = tuple(sorted({x[j] for x in subset}))
             pos = [collapsed.index(x[j]) for x in subset]
-            for key, p in _project(ld.tables[collapsed], pos).items():
+            for key, p in _plain_project(ld.tables[collapsed], pos).items():
                 table[key] = table.get(key, 0.0) + p / k
         tables[subset] = table
     return tables
