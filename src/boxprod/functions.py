@@ -66,7 +66,7 @@ class FunctionTable:
     def variance_along(self, j: int) -> float:
         """Expected conditional variance over coordinate ``j``."""
         pi = self.product.base.pi
-        tens = self.product.fibres(self.values, j)
+        tens = self.product.fibres(self.values, j).reshape(len(pi), -1)
         m1 = pi @ tens
         m2 = pi @ (tens * tens)
         return float((m2 - m1 * m1) @ self.product.pi_rest())

@@ -282,10 +282,10 @@ class ProductGraph:
         return self._pi_power(self.k - 1)
 
     def fibres(self, values: np.ndarray, j: int) -> np.ndarray:
-        """The flat table ``values`` as an (n, n^(k-1)) matrix: row u holds
-        the vertices whose coordinate j is u, the other coordinates in
-        ``pi_rest`` order."""
-        return np.moveaxis(values.reshape(self.shape), j, 0).reshape(self.base.n, -1)
+        """The flat table ``values`` as an (n, n^j, n^(k-1-j)) strided view,
+        no copy: row u holds the vertices whose coordinate j is u, and
+        ``row.reshape(-1)`` lists the other coordinates in ``pi_rest`` order."""
+        return values.reshape(self.base.n ** j, self.base.n, -1).swapaxes(0, 1)
 
     def dense_edges(self):
         """All product edges as flat-index arrays (u, v, mass): coordinate

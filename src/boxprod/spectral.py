@@ -83,18 +83,22 @@ class FourierCoefficients:
     def multi_eigenvalues(self) -> np.ndarray:
         """Tensor of product eigenvalues aligned with the coefficients."""
         lam = self.product.base.basis.eigenvalues
-        out = np.zeros(self.product.shape)
-        for ax in range(self.product.k):
-            shape = [1] * self.product.k
-            shape[ax] = len(lam)
-            out = out + lam.reshape(shape)
+        out = lam
+        for _ in range(self.product.k - 1):
+            out = np.add.outer(out, lam)
         return out / self.product.k
 
 
 def _mode_apply(mat: np.ndarray, tensor: np.ndarray, k: int) -> np.ndarray:
-    for ax in range(k):
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, ax)), 0, ax)
-    return tensor
+    """``mat`` along each axis of ``tensor``, axis 0 first, by k GEMMs and
+    no transposed copy: the first k - 1 move the leading axis last, the
+    last keeps it first, so the view's memory holds axis k - 1 first, the
+    layout the block sums of ``component_energies`` have always used."""
+    n = len(mat)
+    flat = tensor
+    for _ in range(k - 1):
+        flat = flat.reshape(n, -1).T @ mat.T
+    return np.moveaxis((mat @ flat.reshape(n, -1)).reshape(tensor.shape), 0, -1)
 
 
 def fourier_transform(f: FunctionTable) -> FourierCoefficients:
@@ -108,7 +112,7 @@ def fourier_transform(f: FunctionTable) -> FourierCoefficients:
 
 def inverse_transform(coeffs: FourierCoefficients) -> FunctionTable:
     tensor = _mode_apply(coeffs.product.base.basis.eigenfunctions,
-                         np.array(coeffs.coeffs), coeffs.product.k)
+                         coeffs.coeffs, coeffs.product.k)
     return from_values(coeffs.product, tensor.reshape(-1))
 
 
@@ -123,7 +127,7 @@ def directional_form(f: FunctionTable, j: int) -> float:
     total = 0.0
     for u, v, w in zip(base.edge_u, base.edge_v, base.edge_w):
         d = tens[u] - tens[v]
-        total += 0.5 * float(w) * float((d * d) @ rest)
+        total += 0.5 * float(w) * float((d * d).ravel() @ rest)
     return total
 
 

@@ -96,6 +96,26 @@ def naive_variance_along(f, j):
     return total
 
 
+def naive_mode_apply(mat, tensor, k):
+    """``mat`` applied along each axis of ``tensor`` in turn: one
+    ``tensordot`` and one ``moveaxis`` per axis."""
+    for ax in range(k):
+        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, ax)), 0, ax)
+    return tensor
+
+
+def naive_multi_eigenvalues(product):
+    """Tensor of product eigenvalues by k broadcast additions of the base
+    eigenvalues, one per axis, over a full-size tensor."""
+    lam = product.base.basis.eigenvalues
+    out = np.zeros(product.shape)
+    for ax in range(product.k):
+        shape = [1] * product.k
+        shape[ax] = len(lam)
+        out = out + lam.reshape(shape)
+    return out / product.k
+
+
 def naive_component(f, j, order=None):
     """Component j by dense centering + trailing-coordinate averaging."""
     k = f.k

@@ -77,6 +77,20 @@ def test_friedgut_dictator(capsys):
     assert report["results"]["distance"] == 0.0
 
 
+def test_friedgut_dictator_on_k3_keeps_one_coordinate(capsys):
+    # the variances off coordinate 0 are exactly 0 on the table; summed
+    # over the squared coefficients with a_j != 0 they would be about
+    # 1.7e-32, rounding in the eigenbasis, far above the threshold
+    code, out = run_capture(
+        ["friedgut", "--builtin", "kq:3", "--k", "5", "--fn", "dictator",
+         "--epsilon", "0.1"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["coordinate_variances"][1:] == [0.0] * 4
+    assert results["junta"] == [0]
+    assert 0.0 < results["threshold"] < 1e-37
+
+
 def test_sdp_lift_k2(capsys):
     code, out = run_capture(
         ["sdp-lift", "--builtin", "k2", "--k", "2", "--t-level", "2"], capsys)

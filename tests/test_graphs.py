@@ -146,8 +146,9 @@ def test_dense_edges_match_the_product_definition(k3, p3, c5):
 
 
 def test_fibres_match_explicit_tuples(k3, p3):
-    # row u of fibre j holds the tuples whose coordinate j is u; column r
-    # is the r-th tuple of the other coordinates, whose measure is pi_rest[r]
+    # row u of fibre j holds the tuples whose coordinate j is u; entry r of
+    # the flattened row is the r-th tuple of the other coordinates, whose
+    # measure is pi_rest[r]; the fibres are a view of the table, not a copy
     rng = np.random.default_rng(0)
     for g, k in ((k3, 3), (p3, 2), (bp.graph_from_dict(WEIGHTED4), 3)):
         prod = bp.cartesian_power(g, k)
@@ -158,9 +159,11 @@ def test_fibres_match_explicit_tuples(k3, p3):
         assert np.allclose(prod.pi_rest(), want, rtol=1e-15, atol=0.0)
         for j in range(k):
             fib = prod.fibres(values, j)
-            assert fib.shape == (g.n, len(rest))
+            assert np.shares_memory(fib, values)
+            rows = [fib[u].reshape(-1) for u in range(g.n)]
+            assert len(fib) == g.n and all(len(row) == len(rest) for row in rows)
             for a, x in enumerate(itertools.product(range(g.n), repeat=k)):
-                assert fib[x[j], column[x[:j] + x[j + 1:]]] == values[a]
+                assert rows[x[j]][column[x[:j] + x[j + 1:]]] == values[a]
 
 
 def test_product_measure_consistency(p3):

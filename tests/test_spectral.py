@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import boxprod as bp
+from boxprod.spectral import component_energies
+from conftest import WEIGHTED4, naive_mode_apply, naive_multi_eigenvalues
 
 
 def test_k2_eigenpairs(k2):
@@ -88,6 +90,32 @@ def test_transform_roundtrip_and_parseval(k3):
         assert np.allclose(back.values, f.values, atol=1e-9)
         assert math.isclose(float(np.sum(coeffs.coeffs ** 2)), f.norm2_sq(),
                             abs_tol=1e-9)
+
+
+def test_transform_matches_per_axis_loop_bit_for_bit(k2, k3, p3, c5):
+    # the k chained GEMMs of the transforms and the outer sums of the
+    # eigenvalue tensor against one tensordot (one broadcast sum) per axis.
+    # A block sum of component_energies adds in the memory order of the
+    # coefficients, so they keep the loop's layout and kkl's corollary
+    # rows keep their bits
+    cases = [(k2, k) for k in range(1, 7)]
+    cases += [(k3, 4), (k3, 6), (p3, 3), (c5, 3), (bp.graph_from_dict(WEIGHTED4), 3)]
+    rng = np.random.default_rng(5)
+    for g, k in cases:
+        prod = bp.cartesian_power(g, k)
+        funcs = g.basis.eigenfunctions
+        for _ in range(4):
+            f = bp.from_values(prod, rng.standard_normal(prod.num_vertices))
+            coeffs = bp.fourier_transform(f)
+            want = naive_mode_apply(funcs.T * g.pi[None, :], f.as_tensor(), k)
+            assert np.array_equal(coeffs.coeffs, want)
+            assert coeffs.coeffs.strides == want.strides
+            back = naive_mode_apply(funcs, want, k).reshape(-1)
+            assert np.array_equal(bp.inverse_transform(coeffs).values, back)
+            naive = bp.FourierCoefficients(product=prod, coeffs=want)
+            for a, b in zip(component_energies(coeffs), component_energies(naive)):
+                assert a.tobytes() == b.tobytes()
+        assert np.array_equal(coeffs.multi_eigenvalues(), naive_multi_eigenvalues(prod))
 
 
 def test_dictator_directional_forms(k2):
