@@ -10,10 +10,10 @@ base objective divided by k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,83 +210,79 @@ def check_triangle(sol: SdpSolution, *, seed: int = 0) -> TriangleReport:
 
 # -- local distributions (Sherali-Adams style) -----------------------------------
 
-def _slots(pos):
-    """Getter of the slots ``pos`` of a tuple, as a tuple.  A one-index
-    ``itemgetter`` returns the bare item, so one slot is read as a slice."""
-    return itemgetter(*pos) if len(pos) > 1 else itemgetter(slice(pos[0], pos[0] + 1))
-
-
-def _project(table: dict, slots) -> dict:
-    """Marginal of an assignment table onto a ``_slots`` getter, in its order."""
-    out: dict = {}
-    for assign, p in table.items():
-        key = slots(assign)
-        out[key] = out.get(key, 0.0) + p
-    return out
+def _by_code(rows):
+    """The rows end to end, and where each set's row starts, by its ``_parity_codes`` code."""
+    width = np.repeat([0] + [r.shape[1] for r in rows], [1] + [len(r) for r in rows])
+    return np.concatenate([r.ravel() for r in rows]), np.cumsum(width) - width
 
 
 def _pair_moments(ld: LocalDistributions):
-    """Rows x and y and the correlation E[z_x z_y] of every pair table.
-
-    A vertex's row is its position among the sorted singleton vertices of
-    the family: 0..n-1 for a base family, flat order for product tuples.
-    """
-    keys = ld.subsets()
-    row = {s[0]: i for i, s in enumerate(s for s in keys if len(s) == 1)}
-    pairs = [s for s in keys if len(s) == 2]
-    x = np.array([row[s[0]] for s in pairs], dtype=np.int64)
-    y = np.array([row[s[1]] for s in pairs], dtype=np.int64)
-    corr = np.array([sum(p * z[0] * z[1] for z, p in ld.tables[s].items())
-                     for s in pairs], dtype=np.float64)
-    return x, y, corr
+    """Rows x and y (positions in ``ld.vertices``) of every pair and its
+    correlation E[z_x z_y], one left fold over the patterns ++, +-, -+, --."""
+    pairs, p = ((ld.sets[1], ld.rows[1].T) if len(ld.rows) > 1
+                else (np.zeros((0, 2), dtype=np.int64), np.zeros((4, 0))))
+    return pairs[:, 0], pairs[:, 1], ((p[0] - p[1]) - p[2]) + p[3]
 
 
 @dataclass(frozen=True, eq=False)
 class LocalDistributions:
-    """Level-t family: for each vertex subset T (|T| <= t, keyed by a
-    sorted tuple) a probability table over {-1,+1} assignments to T."""
+    """Level-t family, complete by construction: ``rows[m - 1]`` holds a
+    probability row for each m-set of ``sets[m - 1]`` (positions in the
+    sorted ``vertices``, colex order), made zero and filled in place. A
+    {-1,+1} assignment sigma sits at sum_i [sigma_i = -1] 2^(m-1-i): the
+    file key read as binary, - as 1."""
 
     level: int
-    tables: dict
+    vertices: list
+    rows: tuple = field(init=False)
 
-    def subsets(self):
-        return sorted(self.tables.keys())
+    def __post_init__(self):
+        n = len(self.vertices)
+        object.__setattr__(self, "rows", tuple(
+            np.zeros((math.comb(n, m), 1 << m)) for m in range(1, min(self.level, n) + 1)))
+
+    @functools.cached_property
+    def sets(self) -> list:
+        """The m-sets as (C(n, m), m) arrays of sorted rows, row r of colex rank
+        r: the lex order of the sets listed from the top vertex down, reversed."""
+        n = len(self.vertices)
+        return [np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+            range(n - 1, -1, -1), m)), dtype=np.int64).reshape(-1, m)[::-1, ::-1]
+            for m in range(1, len(self.rows) + 1)]
+
+    @functools.cached_property
+    def tables(self) -> dict:
+        """The row of each set, keyed by the sorted tuple of its vertices."""
+        return {tuple(self.vertices[v] for v in s): row
+                for sets, rows in zip(self.sets, self.rows) for s, row in zip(sets.tolist(), rows)}
 
     def check_tables(self):
-        for subset, table in self.tables.items():
-            if len(subset) > self.level:
-                raise ValueError(f"subset {subset} exceeds level {self.level}")
-            for missing in itertools.combinations(subset, len(subset) - 1):
-                if missing and missing not in self.tables:
-                    raise ValueError(f"table for {subset} has no table for "
-                                     f"its sub-set {missing}")
-            total = sum(table.values())
+        for m, rows in enumerate(self.rows):
+            total = rows.sum(axis=1)
             # written so that a NaN fails it
-            if not abs(total - 1.0) <= CHECK_SLACK:
-                raise ValueError(f"table for {subset} sums to {total}")
-            if any(p < -CHECK_SLACK for p in table.values()):
-                raise ValueError(f"negative probability in table for {subset}")
+            bad = ~(np.abs(total - 1.0) <= CHECK_SLACK)
+            # the first row that fails either check, if one does
+            for i in np.flatnonzero(bad | (rows < -CHECK_SLACK).any(axis=1))[:1]:
+                name = tuple(self.vertices[v] for v in self.sets[m][i].tolist())
+                raise ValueError(f"table for {name} sums to {total[i]}" if bad[i]
+                                 else f"negative probability in table for {name}")
 
     def check_marginal_consistency(self) -> float:
-        """Max disagreement of each table's marginals with the tables of
-        its proper nonempty sub-sets, a missing sign pattern read as 0.0.
-
-        The family is down-closed (``check_tables``), so this gap g' and
-        the max disagreement g of tables meeting in C satisfy g' <= g <= 2g'.
-        """
+        """Max disagreement of each table's marginals with the rows of its
+        proper nonempty sub-sets, found by their codes. The family is
+        complete, so this gap g' and the max disagreement g of tables
+        meeting in C satisfy g' <= g <= 2g'."""
         worst = 0.0
-        getters = {size: [_slots(pos) for pos in _subsets(range(size), 1, size - 1)]
-                   for size in {len(s) for s in self.tables}}
-        for subset, table in self.tables.items():
-            for slots in getters[len(subset)]:
-                m = _project(table, slots)
-                sub = self.tables[slots(subset)]
+        flat, start = _by_code(self.rows)
+        for sets, rows in zip(self.sets[1:], self.rows[1:]):
+            m = sets.shape[1]
+            for keep in _subsets(range(m), 1, m - 1):
+                other = tuple(1 + i for i in range(m) if i not in keep)
+                marginal = rows.reshape((-1,) + (2,) * m).sum(axis=other).reshape(len(rows), -1)
+                at = start[_parity_codes(sets[:, keep, None], len(self.vertices))[:, 0]]
+                sub = flat[at[:, None] + np.arange(marginal.shape[1])]
                 # entries are finite (``check_tables``): the max is that of any order
-                for key, p in m.items():
-                    worst = max(worst, abs(p - sub.get(key, 0.0)))
-                for key, q in sub.items():
-                    if key not in m:
-                        worst = max(worst, abs(q))
+                worst = max(worst, float(np.abs(marginal - sub).max()))
         return worst
 
     def check_vector_consistency(self, sol: SdpSolution) -> float:
@@ -298,14 +294,20 @@ class LocalDistributions:
 
 
 def sa_from_distribution(dist: dict, n: int, level: int) -> LocalDistributions:
-    """Exact marginals of a global distribution over {-1,+1}^n.
+    """Exact marginals of a global distribution over {-1,+1}^n, each row
+    summed over the outcomes in the order of ``dist``.
 
     A family over ``LIFT_MAX_SETS`` is refused before it is built: its
     lift to any power lists at least as many sets."""
     _require_liftable(n, 1, level)
-    tables = {subset: _project(dist, _slots(subset))
-              for subset in _subsets(range(n), 1, level)}
-    return LocalDistributions(level=level, tables=tables)
+    minus = np.array(list(dist)) < 0
+    ld = LocalDistributions(level, list(range(n)))
+    for sets, rows in zip(ld.sets, ld.rows):
+        # the pattern of each set under each outcome, - read as 1
+        weight = 1 << np.arange(sets.shape[1] - 1, -1, -1)
+        for pattern, p in zip(minus[:, sets] @ weight, dist.values()):
+            rows[np.arange(len(sets)), pattern] += p
+    return ld
 
 
 def _moment_vector(dist: dict, subset) -> np.ndarray:
@@ -355,35 +357,38 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
     """
     ld.check_tables()
     if not sol.unit_norms():
-        raise ValueError(
-            "base vectors must be unit norm: a coordinate where two "
-            "product vertices agree contributes a correlation of exactly 1"
-        )
-    base_n = product.base.n
-    if sol.n != base_n:
+        raise ValueError("base vectors must be unit norm: a coordinate where two product "
+                         "vertices agree contributes a correlation of exactly 1")
+    n = product.base.n
+    if sol.n != n:
         raise ValueError("solution size does not match the base graph")
     k = product.k
-    _require_liftable(base_n, 1, ld.level, k)
+    _require_liftable(n, 1, ld.level, k)
     # one listing of the vertices serves the family and the direct sum
     vertices = _product_vertices(product)
-    tables = {subset: {} for subset in _subsets(vertices, 1, ld.level)}
-    for j in range(k):
-        # the j-th coordinates of a set, in its order, fix the table it reads
-        # and the slots it reads them into; many sets share them
-        sharing: dict = {}
-        for subset, table in tables.items():
-            sharing.setdefault(tuple(x[j] for x in subset), []).append(table)
-        for column, members in sharing.items():
-            collapsed = tuple(sorted(set(column)))
-            # the slots hit every vertex of collapsed, so the projection sums
-            # nothing and p / k is added once per coordinate
-            pos = [collapsed.index(v) for v in column]
-            for key, p in _project(ld.tables[collapsed], _slots(pos)).items():
-                q = p / k
-                for table in members:
-                    table[key] = table.get(key, 0.0) + q
-    lifted_ld = LocalDistributions(level=ld.level, tables=tables)
-    lifted_sol = SdpSolution(vectors=_direct_sum(sol.vectors, np.array(vertices)))
+    coords = np.array(vertices)
+    flat, start = _by_code(ld.rows)
+    lifted_ld = LocalDistributions(ld.level, vertices)
+    for sets, lifted in zip(lifted_ld.sets, lifted_ld.rows):
+        m = sets.shape[1]
+        patterns = np.arange(1 << m)
+        # the base vertices of each set (rows) in each coordinate (last axis)
+        column = coords[sets]
+        ranked = np.sort(column, axis=1)
+        # each collapsed set, repeats replaced by n so that parity is presence
+        distinct = np.where(np.diff(ranked, axis=1, prepend=-1) != 0, ranked, n)
+        at = start[_parity_codes(distinct, n)]
+        # slot i of a set reads the bit of its collapsed set's patterns that
+        # stands for its vertex: bit above[i], the vertices above it counted
+        above = ((distinct[:, None] > column[:, :, None]) & (distinct[:, None] < n)).sum(axis=2)
+        for j in range(k):
+            # base pattern tau fixes the lifted pattern of those bits; the
+            # inconsistent lifted patterns stay 0.0
+            bits = (patterns[:, None] >> above[:, None, :, j]) & 1
+            fixed = bits @ (1 << np.arange(m - 1, -1, -1))
+            s, tau = np.nonzero(patterns < (2 << above[:, :, j].max(axis=1, keepdims=True)))
+            lifted[s, fixed[s, tau]] += flat[at[s, j] + tau] / k
+    lifted_sol = SdpSolution(vectors=_direct_sum(sol.vectors, coords))
 
     lifted_ld.check_tables()
     marginal_gap = lifted_ld.check_marginal_consistency()
@@ -581,17 +586,6 @@ def uniform_cut_distribution(n: int, subset) -> dict:
     return {sigma: 0.5, neg: 0.5}
 
 
-def _assignment_key(assign) -> str:
-    return "".join("+" if z > 0 else "-" for z in assign)
-
-
-def _assignment_from_key(key: str, size: int):
-    if len(key) != size or not set(key) <= {"+", "-"}:
-        raise ValueError(f"SA assignment key {key!r} needs one sign + or - "
-                         f"per vertex of its {size}-set")
-    return tuple(1 if ch == "+" else -1 for ch in key)
-
-
 def sdp_to_dict(sol: SdpSolution) -> dict:
     return {"d": sol.dim, "vectors": [[float(x) for x in row] for row in sol.vectors]}
 
@@ -604,23 +598,21 @@ def sdp_from_dict(data: dict) -> SdpSolution:
 
 
 def sa_to_dict(ld: LocalDistributions) -> dict:
-    return {
-        "t": ld.level,
-        "dists": [
-            {"T": list(subset),
-             "probs": {_assignment_key(a): p for a, p in table.items()}}
-            for subset, table in sorted(ld.tables.items())
-        ],
-    }
+    """The file of a family; a pattern of probability exactly 0.0 is left out."""
+    return {"t": ld.level, "dists": [
+        {"T": list(subset), "probs": {
+            format(i, f"0{len(subset)}b").replace("0", "+").replace("1", "-"): p
+            for i, p in enumerate(row.tolist()) if p != 0.0}}
+        for subset, row in sorted(ld.tables.items())]}
 
 
-def _require_family(subsets, n: int, low: int, level: int, kind: str):
-    """Every subset of ``range(n)`` with ``low..level`` elements and no
-    other; the keys are distinct, so counting the valid ones suffices."""
+def _require_family(subsets: list, n: int, low: int, level: int, kind: str):
+    """Every subset of ``range(n)`` with ``low..level`` elements, each once,
+    and no other: as many distinct valid sets as the family holds."""
     if level < low:
         raise ValueError(f"{kind} file must hold every subset of {low}..t "
                          f"vertices for a level t >= {low}, not {level}")
-    if len(subsets) != _family_size(n, low, level) or not all(
+    if not len(subsets) == len(set(subsets)) == _family_size(n, low, level) or not all(
             len(set(s)) == len(s) and low <= len(s) <= level
             and all(0 <= v < n for v in s) for s in subsets):
         raise ValueError(f"{kind} file must hold every subset of {low}..{level} "
@@ -628,15 +620,23 @@ def _require_family(subsets, n: int, low: int, level: int, kind: str):
 
 
 def sa_from_dict(data: dict, n: int) -> LocalDistributions:
-    tables = {}
-    for entry in data["dists"]:
-        subset = tuple(sorted(int(v) for v in entry["T"]))
-        tables[subset] = {
-            _assignment_from_key(key, len(subset)): float(p)
-            for key, p in entry["probs"].items()
-        }
-    _require_family(tables, n, 1, int(data["t"]), "SA")
-    return LocalDistributions(level=int(data["t"]), tables=tables)
+    level = int(data["t"])
+    subsets = [tuple(sorted(int(v) for v in entry["T"])) for entry in data["dists"]]
+    _require_family(subsets, n, 1, level, "SA")
+    ld = LocalDistributions(level, list(range(n)))
+    # a code counts every smaller set, the empty one too, before the colex rank
+    below = np.cumsum([1] + [len(r) for r in ld.rows]).tolist()
+    padded = np.array([s + (n,) * (len(ld.rows) - len(s)) for s in subsets], dtype=np.int64)
+    codes = _parity_codes(padded[:, :, None], n)[:, 0].tolist()
+    for subset, code, entry in zip(subsets, codes, data["dists"]):
+        row = ld.rows[len(subset) - 1][code - below[len(subset) - 1]]
+        for key, p in entry["probs"].items():
+            if len(key) != len(subset) or not set(key) <= {"+", "-"}:
+                raise ValueError(f"SA assignment key {key!r} needs one sign + or - "
+                                 f"per vertex of its {len(subset)}-set")
+            # the key read as binary, - as 1
+            row[int(key.replace("+", "0").replace("-", "1"), 2)] = float(p)
+    return ld
 
 
 def lasserre_to_dict(ls: SetVectorSolution) -> dict:
@@ -650,11 +650,10 @@ def lasserre_to_dict(ls: SetVectorSolution) -> dict:
 
 
 def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
-    vectors = {}
-    for entry in data["sets"]:
-        subset = tuple(sorted(int(v) for v in entry["S"]))
-        vectors[subset] = np.asarray(entry["vec"], dtype=np.float64)
-    _require_family(vectors, n, 0, int(data["t"]), "Lasserre")
+    subsets = [tuple(sorted(int(v) for v in entry["S"])) for entry in data["sets"]]
+    _require_family(subsets, n, 0, int(data["t"]), "Lasserre")
+    vectors = {subset: np.asarray(entry["vec"], dtype=np.float64)
+               for subset, entry in zip(subsets, data["sets"])}
     if len({vec.shape for vec in vectors.values()}) != 1 or not all(
             vec.ndim == 1 and np.isfinite(vec).all() for vec in vectors.values()):
         raise ValueError("Lasserre file must give every set a finite vector "

@@ -563,6 +563,34 @@ def test_report_matches_saved_bytes(name, monkeypatch, capsys):
     assert captured.out == (data / f"{name}.report.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["sdp-lift-files", "sdp-lift-level3-files"])
+def test_report_does_not_depend_on_the_order_of_sa_keys(name, tmp_path, monkeypatch,
+                                                        capsys):
+    # a JSON object is unordered: the sign patterns of each table and the
+    # tables themselves, listed in another order, give the same report bytes
+    data = Path(__file__).parent / "data"
+    argv = GOLDEN[name]
+    sa_file = argv[argv.index("--sa-file") + 1]
+    for flag in ("--sdp-file", "--lasserre-file"):
+        if flag in argv:
+            (tmp_path / argv[argv.index(flag) + 1]).write_bytes(
+                (data / argv[argv.index(flag) + 1]).read_bytes())
+    sa = json.loads((data / sa_file).read_text())
+    monkeypatch.chdir(data)
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        dists = [{"T": entry["T"], "probs": dict(
+            [list(entry["probs"].items())[i] for i in rng.permutation(len(entry["probs"]))])}
+            for entry in sa["dists"]]
+        shuffled = {"t": sa["t"], "dists": [dists[i] for i in rng.permutation(len(dists))]}
+        (tmp_path / sa_file).write_text(json.dumps(shuffled))
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want, seed
+
+
 def test_isoperimetry_runs_each_descent_and_scan_once(monkeypatch, capsys):
     from boxprod import cli, isoperimetry
 

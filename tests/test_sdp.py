@@ -160,9 +160,10 @@ def test_sa_lift_exact_cut(k2):
     assert marginal_gap <= 1e-9
     assert vector_gap <= 1e-9
     for tup in itertools.product(range(2), repeat=2):
-        table = lifted_ld.tables[(tup,)]
-        assert math.isclose(table[(1,)], 0.5, abs_tol=1e-12)
-        assert math.isclose(table[(-1,)], 0.5, abs_tol=1e-12)
+        # the row of a singleton holds + and then -
+        plus, minus = lifted_ld.tables[(tup,)].tolist()
+        assert math.isclose(plus, 0.5, abs_tol=1e-12)
+        assert math.isclose(minus, 0.5, abs_tol=1e-12)
 
 
 def test_sa_lift_collapsed_coordinates(k2):
@@ -174,7 +175,7 @@ def test_sa_lift_collapsed_coordinates(k2):
     # (0,0) and (0,1) share coordinate 0; that mixture component is a
     # point-mass correlation, so the pair table has extreme diagonal mass
     table = lifted_ld.tables[((0, 0), (0, 1))]
-    agree = table[(1, 1)] + table[(-1, -1)]
+    agree = table[_index((1, 1))] + table[_index((-1, -1))]
     assert agree >= 0.5 - 1e-12
 
 
@@ -224,7 +225,7 @@ def test_vectors_from_local_tables_rejects_infeasible():
     tables = {(v,): {(1,): 0.5, (-1,): 0.5} for v in range(3)}
     for pair in itertools.combinations(range(3), 2):
         tables[pair] = {(1, -1): 0.5, (-1, 1): 0.5}
-    ld = bp.LocalDistributions(level=2, tables=tables)
+    ld = _family(2, 3, tables)
     with pytest.raises(ValueError, match="no consistent vector family"):
         bp.vectors_from_local_tables(ld, 3)
 
@@ -339,7 +340,7 @@ def test_sdp_file_roundtrip(tmp_path, k2):
     ld = bp.sa_from_distribution(dist, 2, 2)
     ld2 = sa_from_dict(sa_to_dict(ld), 2)
     assert ld2.level == 2
-    assert ld2.tables[(0, 1)] == ld.tables[(0, 1)]
+    assert ld2.tables[(0, 1)].tolist() == ld.tables[(0, 1)].tolist()
     ls = bp.lasserre_from_distribution(dist, 2, 2)
     ls2 = lasserre_from_dict(lasserre_to_dict(ls), 2)
     assert set(ls2.vectors) == set(ls.vectors)
@@ -358,6 +359,7 @@ def test_sdp_malformed_file_rejected(tmp_path):
     [[0]],                      # (1,) and (0, 1) missing
     [[0], [1], [0, 2]],         # vertex 2 of a 2-vertex graph
     [[0], [1], [0, 0]],         # a repeated vertex is no subset
+    [[0], [0], [0, 1]],         # (0,) twice, (1,) missing: the count is right
 ])
 def test_incomplete_sa_family_rejected(subsets):
     from boxprod.sdp import sa_from_dict
@@ -378,6 +380,9 @@ def test_incomplete_lasserre_family_rejected():
         lasserre_from_dict({"t": 1, "sets": sets[1:]}, 2)
     with pytest.raises(ValueError, match="level t >= 0, not -1"):
         lasserre_from_dict({"t": -1, "sets": []}, 2)
+    # [0] twice and [1] missing: as many entries as the family has sets
+    with pytest.raises(ValueError, match="Lasserre file must hold every subset"):
+        lasserre_from_dict({"t": 1, "sets": sets[:2] + sets[1:2]}, 2)
 
 
 @pytest.mark.parametrize("data, match", [
@@ -399,8 +404,8 @@ def test_malformed_sa_file_rejected(data, match):
 def test_non_finite_families_rejected():
     from boxprod.sdp import lasserre_from_dict
 
-    ld = bp.LocalDistributions(level=1, tables={(0,): {(1,): float("nan"), (-1,): 0.5}})
-    with pytest.raises(ValueError, match="sums to nan"):
+    ld = _family(1, 1, {(0,): {(1,): float("nan"), (-1,): 0.5}})
+    with pytest.raises(ValueError, match=r"table for \(0,\) sums to nan"):
         ld.check_tables()
     for bad in (float("nan"), float("inf")):
         sets = [{"S": [], "vec": [1.0]}, {"S": [0], "vec": [bad]}]
@@ -411,37 +416,66 @@ def test_non_finite_families_rejected():
         lasserre_from_dict({"t": 1, "sets": sets}, 1)
 
 
-def test_family_without_a_sub_set_refused(monkeypatch, k2):
-    # tables on (0,) and (0, 1) only: before, the marginal gap read 0.0 and
-    # the lift died on a bare KeyError
-    half = {(1,): 0.5, (-1,): 0.5}
-    pair = dict.fromkeys(itertools.product((1, -1), repeat=2), 0.25)
-    ld = bp.LocalDistributions(level=2, tables={(0,): half, (0, 1): pair})
-    message = r"table for \(0, 1\) has no table for its sub-set \(1,\)"
-    with pytest.raises(ValueError, match=message):
-        ld.check_tables()
-    sol = bp.vectors_from_distribution(bp.uniform_cut_distribution(2, (0,)))
-    prod = bp.cartesian_power(k2, 2)
-    with pytest.raises(ValueError, match=message):
-        bp.lift_sherali_adams(ld, sol, prod)
-    # a lifted family listed without the singleton of (1, 1)
-    listed = sdp._subsets
-    monkeypatch.setattr(sdp, "_subsets", lambda *args: [
-        s for s in listed(*args) if s != ((1, 1),)])
-    full = bp.sa_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 2)
-    with pytest.raises(ValueError, match=r"its sub-set \(\(1, 1\),\)"):
-        bp.lift_sherali_adams(full, sol, prod)
+def test_family_without_a_sub_set_refused():
+    # tables on (0,) and (0, 1) only: the family is complete or not loaded,
+    # so every table has the rows of its sub-sets
+    from boxprod.sdp import sa_from_dict
+
+    with pytest.raises(ValueError, match="SA file must hold every subset"):
+        sa_from_dict(_file(2, {(0,): {(1,): 0.5, (-1,): 0.5},
+                               (0, 1): dict.fromkeys(itertools.product((1, -1), repeat=2),
+                                                     0.25)}), 2)
+
+
+def test_sa_rows_read_file_keys_as_binary():
+    # slot 0 is the most significant bit, and - is 1
+    from boxprod.sdp import sa_from_dict, sa_to_dict
+
+    probs = {"++": 0.125, "+-": 0.25, "-+": 0.625}
+    data = {"t": 2, "dists": [{"T": [0], "probs": {"+": 0.375, "-": 0.625}},
+                              {"T": [1], "probs": {"+": 0.75, "-": 0.25}},
+                              {"T": [1, 0], "probs": probs}]}
+    ld = sa_from_dict(data, 2)
+    assert ld.tables[(0, 1)].tolist() == [0.125, 0.25, 0.625, 0.0]
+    assert [len(rows) for rows in ld.rows] == [2, 1]
+    # the missing pattern is 0.0 in the row and left out of the file
+    assert sa_to_dict(ld)["dists"][1] == {"T": [0, 1], "probs": probs}
 
 
 # -- verifiers against the pairwise loops they replaced ------------------------
 
-def _plain_project(table, pos):
-    """Marginal of ``table`` onto the slots ``pos``, summed in the table's
-    order: the projection of the verifier, written out entry by entry."""
-    out = {}
-    for assign, p in table.items():
-        key = tuple(assign[i] for i in pos)
-        out[key] = out.get(key, 0.0) + p
+def _index(assign):
+    """Position of a {-1,+1} assignment in its row: - is 1, slot 0 the most
+    significant bit."""
+    return sum(1 << (len(assign) - 1 - i) for i, z in enumerate(assign) if z < 0)
+
+
+def _assignment(index, size):
+    return tuple(-1 if index >> (size - 1 - i) & 1 else 1 for i in range(size))
+
+
+def _file(level, tables):
+    """SA file of per-set tables of {assignment: probability}."""
+    return {"t": level, "dists": [
+        {"T": list(subset),
+         "probs": {"".join("+" if z > 0 else "-" for z in a): p for a, p in table.items()}}
+        for subset, table in tables.items()]}
+
+
+def _family(level, n, tables):
+    from boxprod.sdp import sa_from_dict
+
+    return sa_from_dict(_file(level, tables), n)
+
+
+def _plain_project(row, pos):
+    """Marginal of ``row`` onto the slots ``pos``, summed in pattern order:
+    the projection of the verifier, written out entry by entry."""
+    size = len(row).bit_length() - 1
+    out = [0.0] * (1 << len(pos))
+    for index, p in enumerate(row):
+        assign = _assignment(index, size)
+        out[_index([assign[i] for i in pos])] += p
     return out
 
 
@@ -450,17 +484,15 @@ def _marginal_gap_loop(ld, nested=False):
     with ``nested``, only of the pairs where C is one of the two sets."""
 
     def marginal(subset, onto):
-        return _plain_project(ld.tables[subset], [subset.index(v) for v in onto])
+        return _plain_project(ld.tables[subset].tolist(), [subset.index(v) for v in onto])
 
     worst = 0.0
-    for t1, t2 in itertools.combinations(ld.subsets(), 2):
+    for t1, t2 in itertools.combinations(sorted(ld.tables), 2):
         common = tuple(sorted(set(t1) & set(t2)))
         if not common or nested and len(common) < min(len(t1), len(t2)):
             continue
-        m1 = marginal(t1, common)
-        m2 = marginal(t2, common)
-        for key in set(m1) | set(m2):
-            worst = max(worst, abs(m1.get(key, 0.0) - m2.get(key, 0.0)))
+        for p1, p2 in zip(marginal(t1, common), marginal(t2, common)):
+            worst = max(worst, abs(p1 - p2))
     return worst
 
 
@@ -489,7 +521,7 @@ def _random_tables(rng, n, level):
                 assigns.pop(int(rng.integers(len(assigns))))
             probs = rng.dirichlet(np.ones(len(assigns)))
             tables[subset] = dict(zip(assigns, (float(p) for p in probs)))
-    return bp.LocalDistributions(level=level, tables=tables)
+    return _family(level, n, tables)
 
 
 def _random_set_vectors(rng, n, level, length):
@@ -539,28 +571,13 @@ def test_lifted_marginal_gap_equals_pairwise_loop(block_entries, seed, k2, k3):
         assert gap == _sub_table_bounds(lifted)[0]
 
 
-@pytest.mark.parametrize("pos", [(0,), (1,), (2,), (0, 2), (2, 0, 1)])
-def test_project_keys_are_tuples_of_the_slots(pos):
-    # a one-index itemgetter returns the bare item, not a 1-tuple
-    from boxprod.sdp import _project, _slots
-
-    rng = np.random.default_rng(len(pos))
-    ld = _random_tables(rng, 3, 3)
-    table = ld.tables[(0, 1, 2)]
-    got = _project(table, _slots(pos))
-    assert [(key, p.hex()) for key, p in got.items()] \
-        == [(key, p.hex()) for key, p in _plain_project(table, pos).items()]
-    if len(pos) == 1:
-        assert set(got) == set(ld.tables[pos]) == {(-1,), (1,)}
-
-
 def test_marginal_gap_reads_each_table_against_its_sub_tables():
     # the pair tables push the marginal on (0,) by +d and -d: each is d
     # from the table of (0,), and 2d from the other pair table
     d = 1.0 / 16
     half = {(1,): 0.5, (-1,): 0.5}
     quarter = dict.fromkeys(itertools.product((1, -1), repeat=2), 0.25)
-    ld = bp.LocalDistributions(level=2, tables={
+    ld = _family(2, 3, {
         (0,): half, (1,): half, (2,): half,
         (0, 1): {**quarter, (1, 1): 0.25 + d, (-1, 1): 0.25 - d},
         (0, 2): {**quarter, (1, 1): 0.25 - d, (-1, 1): 0.25 + d},
@@ -652,11 +669,13 @@ def test_delta_gram_stays_within_the_block_budget(monkeypatch, entries, k3):
 def _vector_gap_loop(ld, sol, vertex_index):
     gram = sol.gram()
     worst = 0.0
-    for subset in ld.subsets():
+    for subset, row in ld.tables.items():
         if len(subset) != 2:
             continue
         x, y = subset
-        corr = sum(p * z[0] * z[1] for z, p in ld.tables[subset].items())
+        # in the declared pattern order ++, +-, -+, --
+        corr = sum(p * z[0] * z[1] for z, p in zip(
+            (_assignment(i, 2) for i in range(4)), row.tolist()))
         worst = max(worst, abs(gram[vertex_index(x), vertex_index(y)] - corr))
     return worst
 
@@ -707,16 +726,17 @@ def _product_family(n, k, low, level):
 
 
 def _sa_lift_loop(ld, n, k):
-    """Lifted tables with one projection per set and coordinate."""
+    """Lifted rows, adding p / k for each set, coordinate and base pattern."""
     tables = {}
     for subset in _product_family(n, k, 1, ld.level):
-        table: dict = {}
+        row = [0.0] * (1 << len(subset))
         for j in range(k):
             collapsed = tuple(sorted({x[j] for x in subset}))
-            pos = [collapsed.index(x[j]) for x in subset]
-            for key, p in _plain_project(ld.tables[collapsed], pos).items():
-                table[key] = table.get(key, 0.0) + p / k
-        tables[subset] = table
+            for index, p in enumerate(ld.tables[collapsed].tolist()):
+                # the base pattern fixes the sign of every slot of the set
+                sign = dict(zip(collapsed, _assignment(index, len(collapsed))))
+                row[_index([sign[x[j]] for x in subset])] += p / k
+        tables[subset] = row
     return tables
 
 
@@ -730,15 +750,15 @@ def _lasserre_lift_loop(ls, n, k, level):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_sa_lift_tables_equal_the_per_set_loop(seed, k2, k3):
-    # same keys in the same order, and the same bits
+    # the same sets, and rows with the same bits
     rng = np.random.default_rng(40 + seed)
     for base, k, level in ((k2, 3, 3), (k3, 2, 2)):
         ld = _random_tables(rng, base.n, level)
         lifted = bp.lift_sherali_adams(ld, _unit_vectors(rng, base.n, 3),
                                        bp.cartesian_power(base, k))[0]
         want = _sa_lift_loop(ld, base.n, k)
-        assert [(s, [(a, p.hex()) for a, p in t.items()]) for s, t in lifted.tables.items()] \
-            == [(s, [(a, p.hex()) for a, p in t.items()]) for s, t in want.items()]
+        assert sorted((s, [p.hex() for p in row.tolist()]) for s, row in lifted.tables.items()) \
+            == sorted((s, [p.hex() for p in row]) for s, row in want.items())
 
 
 @pytest.mark.parametrize("graph, k, base_level, level", [
