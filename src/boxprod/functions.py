@@ -8,31 +8,27 @@ coordinate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .graphs import ProductGraph, read_json
+from .graphs import ProductGraph, Record, json_int, read_json
 
 BOOL_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionTable:
+class FunctionTable(Record):
     """Function on the vertices of a product graph (dense, row-major)."""
 
-    product: ProductGraph
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.product.require_dense()
-        if self.values.shape != (self.product.num_vertices,):
+    def __init__(self, product: ProductGraph, values: np.ndarray):
+        product.require_dense()
+        if values.shape != (product.num_vertices,):
             raise ValueError(
-                f"expected {self.product.num_vertices} values, "
-                f"got shape {self.values.shape}"
+                f"expected {product.num_vertices} values, "
+                f"got shape {values.shape}"
             )
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        vars(self).update(product=product, values=values)
 
     @property
     def k(self) -> int:
@@ -112,7 +108,7 @@ def function_to_dict(f: FunctionTable) -> dict:
 
 
 def function_from_dict(data: dict, product: ProductGraph) -> FunctionTable:
-    if int(data["k"]) != product.k:
+    if json_int(data["k"], "k") != product.k:
         raise ValueError(f"function has k={data['k']}, product has k={product.k}")
     return from_values(product, data["values"])
 

@@ -10,11 +10,11 @@ influence experiments at sizes where dense tables are impossible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import (DENSE_CAP, WeightedGraph, _from_arrays, complete_graph,
+from .graphs import (DENSE_CAP, Record, WeightedGraph, _from_arrays, complete_graph,
                      cycle_graph, path_graph, require_base_within)
 
 NECKLACE_MAX_R = 20
@@ -84,16 +84,13 @@ def _has_cyclic_run(values: np.ndarray, r: int, run: int) -> np.ndarray:
     return acc != 0
 
 
-@dataclass(frozen=True, eq=False)
-class ConsecutiveOnesFunction:
+class ConsecutiveOnesFunction(Record):
     """Boolean predicate on tuples of necklace classes: +1 iff some
     coordinate's class has ceil(log2(k*r)) cyclically consecutive ones."""
 
-    run_length: int
-    class_has_run: np.ndarray
-
-    def __post_init__(self):
-        self.class_has_run.setflags(write=False)
+    def __init__(self, run_length: int, class_has_run: np.ndarray):
+        class_has_run.setflags(write=False)
+        vars(self).update(run_length=run_length, class_has_run=class_has_run)
 
     def __call__(self, tuples: np.ndarray) -> np.ndarray:
         """+1 or -1 for each row of a (samples, k) array of class indices."""
@@ -115,8 +112,7 @@ def consecutive_ones_function(r: int, k: int,
 
 # -- sampling estimators ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     estimate: float
     half_width: float
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,8 +52,22 @@ def power_at_most(n: int, k: int, limit: int) -> bool:
     return power <= limit
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedGraph:
+class Record:
+    """Base of the package's records: each ``__init__`` sets the fields
+    once through ``vars(self).update``, and assigning or deleting an
+    attribute raises AttributeError.  ``cached_property`` writes the
+    instance dict directly, so lazy fields still work.  Plain classes, not
+    ``dataclasses``: generating their methods took most of the package's
+    import time."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
+class WeightedGraph(Record):
     """Connected undirected graph with normalized edge/vertex measures.
 
     Edges are stored as parallel arrays (``edge_u[i] < edge_v[i]``) with
@@ -63,15 +76,11 @@ class WeightedGraph:
     graphs stay cheap.
     """
 
-    n: int
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_w: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.edge_u, self.edge_v, self.edge_w, self.pi):
+    def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
+                 edge_w: np.ndarray, pi: np.ndarray):
+        for arr in (edge_u, edge_v, edge_w, pi):
             arr.setflags(write=False)
+        vars(self).update(n=n, edge_u=edge_u, edge_v=edge_v, edge_w=edge_w, pi=pi)
 
     @property
     def num_edges(self) -> int:
@@ -222,8 +231,7 @@ def path_graph(n: int) -> WeightedGraph:
 
 # -- k-fold Cartesian power --------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ProductGraph:
+class ProductGraph(Record):
     """Implicit k-fold Cartesian power of a base graph.
 
     Vertices are k-tuples of base vertices (row-major flat indexing,
@@ -231,14 +239,10 @@ class ProductGraph:
     materialized; the dense cap only gates length-``n**k`` objects.
     """
 
-    base: WeightedGraph
-    k: int
-    dense_cap: int = DENSE_CAP
-    _pi_powers: list = field(default_factory=list, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, base: WeightedGraph, k: int, dense_cap: int = DENSE_CAP):
+        if k < 1:
             raise ValueError("power k must be >= 1")
+        vars(self).update(base=base, k=k, dense_cap=dense_cap, _pi_powers=[])
 
     @property
     def num_vertices(self) -> int:
@@ -336,17 +340,36 @@ def graph_to_dict(graph: WeightedGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> WeightedGraph:
-    return build_graph(int(data["n"]), data["edges"])
+    return build_graph(json_int(data["n"], "n"), [
+        (json_int(u, "an edge endpoint"), json_int(v, "an edge endpoint"),
+         json_number(w, "an edge's weight")) for u, v, w in data["edges"]])
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a bool, a real, a string or any
+    other value raises TypeError, which ``read_json`` reports."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def json_number(value, what: str) -> float:
+    """``value``, a JSON integer or real, as a float; a bool, a string or
+    any other value raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, not {value!r}")
+    return float(value)
 
 
 def read_json(path, parse, *args):
     """``parse(document, *args)`` of a JSON file; a document of the wrong
-    shape (a list for an object, a missing key, a null) raises ValueError."""
+    shape (a list for an object, a missing key, a null or a string for a
+    number) or with a number too large for a float raises ValueError."""
     with open(path) as fh:
         data = json.load(fh)
     try:
         return parse(data, *args)
-    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed document in {path}: "
                          f"{type(exc).__name__}: {exc}") from exc
 

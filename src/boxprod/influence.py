@@ -12,12 +12,12 @@ bound and the junta extraction threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .functions import FunctionTable, from_values
-from .graphs import CHECK_SLACK
+from .graphs import CHECK_SLACK, Record
 from .spectral import (FourierCoefficients, component_energies, dirichlet_form,
                        fourier_transform, influence_profile, inverse_transform)
 
@@ -40,8 +40,7 @@ def _require_t(t: float):
         raise ValueError(f"t must lie in (0, 1/e^2], got {t}")
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     lhs: float
     rhs: float
     ok: bool
@@ -55,8 +54,7 @@ def main_lemma_check(h: FunctionTable, t: float, alpha: float) -> LemmaCheck:
     return LemmaCheck(lhs=lhs, rhs=rhs, ok=bool(lhs >= rhs - CHECK_SLACK))
 
 
-@dataclass(frozen=True)
-class CorollaryRow:
+class CorollaryRow(NamedTuple):
     j: int
     lhs: float
     rhs: float
@@ -104,20 +102,16 @@ def corollary_check(f: FunctionTable, t: float, alpha: float) -> list:
 
 # -- max influence report --------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class InfluenceReport:
+class InfluenceReport(Record):
     """Directional energies of a Boolean cut with the scale the
     max-influence theorem predicts (no hidden constant is asserted)."""
 
-    influences: np.ndarray
-    max_influence: float
-    mean_influence: float
-    variance: float
-    bound_expr: float
-    ratio: float
-
-    def __post_init__(self):
-        self.influences.setflags(write=False)
+    def __init__(self, influences: np.ndarray, max_influence: float,
+                 mean_influence: float, variance: float, bound_expr: float, ratio: float):
+        influences.setflags(write=False)
+        vars(self).update(influences=influences, max_influence=max_influence,
+                          mean_influence=mean_influence, variance=variance,
+                          bound_expr=bound_expr, ratio=ratio)
 
 
 def require_kkl_input(f: FunctionTable):
@@ -151,24 +145,19 @@ def kkl_report(f: FunctionTable, alpha: float) -> InfluenceReport:
 
 # -- junta extraction --------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class JuntaResult:
+class JuntaResult(Record):
     """Output of the junta extraction: coordinates kept, the rounded
     Boolean junta, its squared distance from the input, the variance
     threshold used, and the log of the guaranteed bound on the junta size
     (50 k I / (eps alpha))."""
 
-    junta: tuple
-    g_tilde: FunctionTable
-    g_real: FunctionTable
-    distance: float
-    threshold: float
-    size_bound_log: float
-    dirichlet: float
-    coordinate_variances: np.ndarray
-
-    def __post_init__(self):
-        self.coordinate_variances.setflags(write=False)
+    def __init__(self, junta: tuple, g_tilde: FunctionTable, g_real: FunctionTable,
+                 distance: float, threshold: float, size_bound_log: float,
+                 dirichlet: float, coordinate_variances: np.ndarray):
+        coordinate_variances.setflags(write=False)
+        vars(self).update(junta=junta, g_tilde=g_tilde, g_real=g_real, distance=distance,
+                          threshold=threshold, size_bound_log=size_bound_log,
+                          dirichlet=dirichlet, coordinate_variances=coordinate_variances)
 
 
 def _truncate_to_junta(f, junta):

@@ -14,11 +14,10 @@ on K2, whose constant is 2), so the estimate is not a certified bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ProductGraph, WeightedGraph, entropy_sq, log0, power_at_most
+from .graphs import ProductGraph, Record, WeightedGraph, entropy_sq, log0, power_at_most
 
 BRUTE_FORCE_MAX_VERTICES = 25
 SCAN_SLACK = 1e-11
@@ -223,17 +222,13 @@ def conductance_functional(graph: WeightedGraph, f: np.ndarray) -> float:
 
 # -- log-Sobolev estimation ----------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LogSobolevEstimate:
+class LogSobolevEstimate(Record):
     """Best found ratio (in floats, so possibly below the true constant),
     its witness and the number of descent starts."""
 
-    alpha_hat: float
-    witness: np.ndarray
-    restarts: int
-
-    def __post_init__(self):
-        self.witness.setflags(write=False)
+    def __init__(self, alpha_hat: float, witness: np.ndarray, restarts: int):
+        witness.setflags(write=False)
+        vars(self).update(alpha_hat=alpha_hat, witness=witness, restarts=restarts)
 
 
 def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -335,15 +330,14 @@ def witness_ratio(graph: WeightedGraph, f: np.ndarray) -> float:
 
 # -- product scaling -------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Measures:
+class Measures(Record):
     """A graph with its ``(phi, witness)`` scan and its log-Sobolev
     estimate, each None where its exhaustive or dense computation is
     infeasible."""
 
-    graph: WeightedGraph
-    scan: tuple | None
-    estimate: LogSobolevEstimate | None
+    def __init__(self, graph: WeightedGraph, scan: tuple | None,
+                 estimate: LogSobolevEstimate | None):
+        vars(self).update(graph=graph, scan=scan, estimate=estimate)
 
 
 def _measures(graph: WeightedGraph, seed: int) -> Measures:

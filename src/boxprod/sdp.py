@@ -13,11 +13,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import CHECK_SLACK, ProductGraph, WeightedGraph, power_at_most
+from .graphs import (CHECK_SLACK, ProductGraph, Record, WeightedGraph, json_int, json_number,
+                     power_at_most)
 
 # tolerance of the moment-matrix factorization of level-2 tables
 FACTOR_TOL = 1e-7
@@ -31,16 +31,14 @@ TRIANGLE_BUDGET = 2_000_000
 VERIFY_BLOCK_ENTRIES = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class SdpSolution:
+class SdpSolution(Record):
     """One embedding vector per vertex (rows)."""
 
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2:
+    def __init__(self, vectors: np.ndarray):
+        if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-d array (vertices x dim)")
-        self.vectors.setflags(write=False)
+        vectors.setflags(write=False)
+        vars(self).update(vectors=vectors)
 
     @property
     def n(self) -> int:
@@ -93,13 +91,14 @@ def basic_sdp_opt(graph: WeightedGraph):
     return opt, sol
 
 
-@dataclass(frozen=True, eq=False)
 class LiftedSolution(SdpSolution):
     """A direct-sum lift and the objectives and spread its checks computed."""
 
-    objective_base: float
-    objective_lifted: float
-    spread_lifted: float
+    def __init__(self, vectors: np.ndarray, objective_base: float,
+                 objective_lifted: float, spread_lifted: float):
+        SdpSolution.__init__(self, vectors)
+        vars(self).update(objective_base=objective_base, objective_lifted=objective_lifted,
+                          spread_lifted=spread_lifted)
 
 
 def lift_vectors(sol: SdpSolution, product: ProductGraph) -> LiftedSolution:
@@ -131,11 +130,9 @@ def lift_vectors(sol: SdpSolution, product: ProductGraph) -> LiftedSolution:
                           objective_lifted=objective, spread_lifted=spread)
 
 
-@dataclass(frozen=True, eq=False)
-class TriangleReport:
-    count: int
-    checked: int
-    partial: bool
+class TriangleReport(Record):
+    def __init__(self, count: int, checked: int, partial: bool):
+        vars(self).update(count=count, checked=checked, partial=partial)
 
 
 def _product_vertices(product: ProductGraph) -> list:
@@ -224,22 +221,17 @@ def _pair_moments(ld: LocalDistributions):
     return pairs[:, 0], pairs[:, 1], ((p[0] - p[1]) - p[2]) + p[3]
 
 
-@dataclass(frozen=True, eq=False)
-class LocalDistributions:
+class LocalDistributions(Record):
     """Level-t family, complete by construction: ``rows[m - 1]`` holds a
     probability row for each m-set of ``sets[m - 1]`` (positions in the
     sorted ``vertices``, colex order), made zero and filled in place. A
     {-1,+1} assignment sigma sits at sum_i [sigma_i = -1] 2^(m-1-i): the
     file key read as binary, - as 1."""
 
-    level: int
-    vertices: list
-    rows: tuple = field(init=False)
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        object.__setattr__(self, "rows", tuple(
-            np.zeros((math.comb(n, m), 1 << m)) for m in range(1, min(self.level, n) + 1)))
+    def __init__(self, level: int, vertices: list):
+        n = len(vertices)
+        vars(self).update(level=level, vertices=vertices, rows=tuple(
+            np.zeros((math.comb(n, m), 1 << m)) for m in range(1, min(level, n) + 1)))
 
     @functools.cached_property
     def sets(self) -> list:
@@ -398,14 +390,13 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
 
 # -- parity-set hierarchy (Lasserre style) ----------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SetVectorSolution:
+class SetVectorSolution(Record):
     """Level-t family of vectors indexed by vertex subsets (including the
     empty set), constrained so inner products depend only on the
     symmetric difference of the index sets."""
 
-    level: int
-    vectors: dict
+    def __init__(self, level: int, vectors: dict):
+        vars(self).update(level=level, vectors=vectors)
 
     def subsets(self):
         return sorted(self.vectors.keys(), key=lambda s: (len(s), s))
@@ -592,7 +583,7 @@ def sdp_to_dict(sol: SdpSolution) -> dict:
 
 def sdp_from_dict(data: dict) -> SdpSolution:
     vecs = np.asarray(data["vectors"], dtype=np.float64)
-    if vecs.ndim != 2 or vecs.shape[1] != int(data["d"]):
+    if vecs.ndim != 2 or vecs.shape[1] != json_int(data["d"], "d"):
         raise ValueError("malformed SDP solution file")
     return SdpSolution(vectors=vecs.copy())
 
@@ -620,8 +611,9 @@ def _require_family(subsets: list, n: int, low: int, level: int, kind: str):
 
 
 def sa_from_dict(data: dict, n: int) -> LocalDistributions:
-    level = int(data["t"])
-    subsets = [tuple(sorted(int(v) for v in entry["T"])) for entry in data["dists"]]
+    level = json_int(data["t"], "t")
+    subsets = [tuple(sorted(json_int(v, "a vertex") for v in entry["T"]))
+               for entry in data["dists"]]
     _require_family(subsets, n, 1, level, "SA")
     ld = LocalDistributions(level, list(range(n)))
     # a code counts every smaller set, the empty one too, before the colex rank
@@ -635,7 +627,7 @@ def sa_from_dict(data: dict, n: int) -> LocalDistributions:
                 raise ValueError(f"SA assignment key {key!r} needs one sign + or - "
                                  f"per vertex of its {len(subset)}-set")
             # the key read as binary, - as 1
-            row[int(key.replace("+", "0").replace("-", "1"), 2)] = float(p)
+            row[int(key.replace("+", "0").replace("-", "1"), 2)] = json_number(p, "a probability")
     return ld
 
 
@@ -650,8 +642,10 @@ def lasserre_to_dict(ls: SetVectorSolution) -> dict:
 
 
 def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
-    subsets = [tuple(sorted(int(v) for v in entry["S"])) for entry in data["sets"]]
-    _require_family(subsets, n, 0, int(data["t"]), "Lasserre")
+    level = json_int(data["t"], "t")
+    subsets = [tuple(sorted(json_int(v, "a vertex") for v in entry["S"]))
+               for entry in data["sets"]]
+    _require_family(subsets, n, 0, level, "Lasserre")
     vectors = {subset: np.asarray(entry["vec"], dtype=np.float64)
                for subset, entry in zip(subsets, data["sets"])}
     if len({vec.shape for vec in vectors.values()}) != 1 or not all(
@@ -665,4 +659,4 @@ def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
     if huge:
         raise ValueError(f"Lasserre vector of S = {list(huge[0])} has a squared "
                          "norm that overflows")
-    return SetVectorSolution(level=int(data["t"]), vectors=vectors)
+    return SetVectorSolution(level=level, vectors=vectors)

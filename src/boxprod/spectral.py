@@ -11,28 +11,23 @@ mean of the coordinate eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .functions import FunctionTable, from_values
-from .graphs import ProductGraph, WeightedGraph
+from .graphs import ProductGraph, Record, WeightedGraph
 
 EIG_RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralBasis:
+class SpectralBasis(Record):
     """Eigenvalues (ascending, first exactly 0) and pi-orthonormal
     eigenfunctions (columns; first column all ones).  A graph holds its
     own as ``WeightedGraph.basis``."""
 
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenfunctions.setflags(write=False)
+    def __init__(self, eigenvalues: np.ndarray, eigenfunctions: np.ndarray):
+        eigenvalues.setflags(write=False)
+        eigenfunctions.setflags(write=False)
+        vars(self).update(eigenvalues=eigenvalues, eigenfunctions=eigenfunctions)
 
     @property
     def lambda1(self) -> float:
@@ -69,16 +64,13 @@ def eigendecompose(graph: WeightedGraph) -> SpectralBasis:
     return SpectralBasis(eigenvalues=evals, eigenfunctions=funcs)
 
 
-@dataclass(frozen=True, eq=False)
-class FourierCoefficients:
+class FourierCoefficients(Record):
     """Dense coefficient tensor indexed by spectral multi-indices of the
     base graph's basis."""
 
-    product: ProductGraph
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
+    def __init__(self, product: ProductGraph, coeffs: np.ndarray):
+        coeffs.setflags(write=False)
+        vars(self).update(product=product, coeffs=coeffs)
 
     def multi_eigenvalues(self) -> np.ndarray:
         """Tensor of product eigenvalues aligned with the coefficients."""
@@ -149,8 +141,7 @@ def _block(j: int, k: int) -> tuple:
     return (slice(None),) * j + (slice(1, None),) + (0,) * (k - 1 - j)
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(Record):
     """Split of f into a constant part plus one component per coordinate.
 
     Component j collects the spectral multi-indices whose last nonzero
@@ -158,8 +149,8 @@ class Decomposition:
     sum to the variance of f.
     """
 
-    constant: FunctionTable
-    parts: tuple
+    def __init__(self, constant: FunctionTable, parts: tuple):
+        vars(self).update(constant=constant, parts=parts)
 
 
 def decompose(f: FunctionTable) -> Decomposition:

@@ -168,6 +168,32 @@ def test_any_arguments_keep_the_exit_code_contract(case):
     {"S": [1], "vec": [1.0]}]})
 @example(flag="--lasserre-file", data={"t": 1, "sets": [
     {"S": [], "vec": [1.0]}, {"S": [0], "vec": [1e155]}, {"S": [1], "vec": [1.0]}]})
+# numbers too large for a float or an int
+@example(flag="--sa-file", data={"t": 1, "dists": [
+    {"T": [0], "probs": {"+": 10 ** 400, "-": 0.5}},
+    {"T": [1], "probs": {"+": 0.5, "-": 0.5}}]})
+@example(flag="--lasserre-file", data={"t": 1, "sets": [
+    {"S": [], "vec": [1.0]}, {"S": [math.inf], "vec": [1.0]}, {"S": [1], "vec": [1.0]}]})
+@example(flag="--graph", data={"n": math.inf, "edges": [[0, 1, 1.0]]})
+@example(flag="--function", data={"k": math.inf, "values": [1.0, -1.0, -1.0, 1.0]})
+# vertices that are not JSON integers, weights and probabilities that are not numbers
+@example(flag="--sa-file", data={"t": 1, "dists": [
+    {"T": [True], "probs": {"+": 0.5, "-": 0.5}},
+    {"T": [0], "probs": {"+": 0.5, "-": 0.5}}]})
+@example(flag="--sa-file", data={"t": 1, "dists": [
+    {"T": [0.9], "probs": {"+": 0.5, "-": 0.5}},
+    {"T": [1], "probs": {"+": 0.5, "-": 0.5}}]})
+@example(flag="--sa-file", data={"t": 1, "dists": [
+    {"T": [0], "probs": {"+": "0.5", "-": 0.5}},
+    {"T": [1], "probs": {"+": 0.5, "-": 0.5}}]})
+@example(flag="--sa-file", data={"t": True, "dists": [
+    {"T": [0], "probs": {"+": 0.5, "-": 0.5}},
+    {"T": [1], "probs": {"+": 0.5, "-": 0.5}}]})
+@example(flag="--lasserre-file", data={"t": 1, "sets": [
+    {"S": [], "vec": [1.0]}, {"S": [False], "vec": [1.0]}, {"S": [1], "vec": [1.0]}]})
+@example(flag="--graph", data={"n": 3, "edges": [[0.9, 1, 1.0], [True, 2, "2.5"]]})
+@example(flag="--graph", data={"n": 3.0, "edges": [[0, 1, 1.0], [1, 2, 1.0]]})
+@example(flag="--graph", data={"n": 3, "edges": [[0, 1, 1.0], [1, 2, True]]})
 def test_malformed_files_keep_the_exit_code_contract(flag, data):
     # an explicit example gives the whole document; a drawn one mutates
     # the valid document of its kind

@@ -80,7 +80,8 @@ def unpassed_defaults(sources: dict) -> list:
     a function defined in ``sources`` (module name -> source), that no
     call naming the function passes, by keyword or by position.  A method
     is named ``module.Class.method``, and a call ``x.method(...)`` passes
-    its arguments after the instance."""
+    its arguments after the instance; a call naming a class passes those
+    of its ``__init__``."""
     defaults, positional_passed, keywords_passed = [], {}, {}
 
     def visit(node, prefix, in_class):
@@ -95,7 +96,9 @@ def unpassed_defaults(sources: dict) -> list:
                              for d in child.decorator_list)
                 first = len(positional) - len(args.defaults)
                 offset = first - (in_class and not static)
-                where = (f"{prefix}{child.name}", child.name)
+                called = (prefix.split(".")[-2] if in_class and child.name == "__init__"
+                          else child.name)
+                where = (f"{prefix}{child.name}", called)
                 defaults.extend((*where, p.arg, offset + i)
                                 for i, p in enumerate(positional[first:]))
                 defaults.extend((*where, p.arg, None)
@@ -127,8 +130,10 @@ def test_checker_flags_an_unpassed_default():
                     "def g(w=0):\n    return f(1, 2, z=w) + g()\n"
                     "def h(q=0):\n    return h(**{}) + f(0, *[])\n",
                "b": "class C:\n    def m(self, t=1):\n        return t\n"
-                    "    def n(self, u=1):\n        return self.m(u)\n"}
-    assert unpassed_defaults(sources) == ["a.f(r)", "a.g(w)", "b.C.n(u)"]
+                    "    def n(self, u=1):\n        return self.m(u)\n",
+               "c": "class D:\n    def __init__(self, a, b=1, c=2):\n        pass\n"
+                    "D(0, 1)\n"}
+    assert unpassed_defaults(sources) == ["a.f(r)", "a.g(w)", "b.C.n(u)", "c.D.__init__(c)"]
 
 
 def test_every_default_is_passed_by_the_package_or_allowed():

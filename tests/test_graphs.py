@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import boxprod as bp
-from boxprod.graphs import write_json
+from boxprod.graphs import DENSE_CAP, write_json
 from conftest import WEIGHTED4, naive_product_edges
 
 
@@ -25,6 +25,29 @@ def test_k3_measures(k3):
 def test_p3_measures(p3):
     assert np.allclose(p3.edge_w, [0.5, 0.5])
     assert p3.pi.tolist() == [0.25, 0.5, 0.25]
+
+
+def test_records_refuse_assignment_and_keep_their_arrays_read_only():
+    g = bp.complete_graph(3)
+    product = bp.cartesian_power(g, 2)
+    records = [(g, ("edge_u", "edge_v", "edge_w", "pi", "laplacian")), (product, ()),
+               (bp.dictator(product), ("values",)),
+               (bp.log_sobolev_estimate(g), ("witness",))]
+    for record, arrays in records:
+        for name in ("k", "n", "values", "unset"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            del record.pi
+        for name in arrays:
+            with pytest.raises(ValueError):
+                getattr(record, name)[0] = 1.0
+    # the records compare by identity, as before
+    assert bp.complete_graph(3) != g and bp.cartesian_power(g, 2) != product
+
+
+def test_product_constructors_share_the_default_cap(k2):
+    assert bp.cartesian_power(k2, 2).dense_cap == bp.ProductGraph(k2, 2).dense_cap == DENSE_CAP
 
 
 def test_weights_renormalized():

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+no module imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,28 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules that ``source`` imports absolutely,
+    anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_checker_finds_every_import():
+    source = "import os.path\nfrom . import graphs\ndef f():\n    from dataclasses import field\n"
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # import cost: each ``analyze`` run is a fresh process, and generating the
+    # methods of the records with ``dataclasses`` took about 11 ms of the
+    # package's 15 ms import; the records are plain classes on graphs.Record
+    assert "dataclasses" not in imported_modules(path.read_text())
