@@ -140,18 +140,8 @@ def _product_vertices(product: ProductGraph) -> list:
     return list(itertools.product(range(product.base.n), repeat=product.k))
 
 
-def _subsets(vertices, low: int, level: int) -> list:
-    """Every set of ``low..level`` of ``vertices`` as a tuple, by size and
-    then lexicographically in the order of ``vertices`` (a sequence).
-
-    Sizes above ``len(vertices)`` hold no set and are skipped, since
-    ``combinations`` allocates ``size`` slots even then."""
-    return [subset for size in range(low, min(level, len(vertices)) + 1)
-            for subset in itertools.combinations(vertices, size)]
-
-
 def _family_size(n: int, low: int, level: int) -> int:
-    """Number of sets ``_subsets`` lists for ``n`` vertices."""
+    """Number of sets of ``low..level`` of ``n`` vertices."""
     return sum(math.comb(n, m) for m in range(low, min(level, n) + 1))
 
 
@@ -268,7 +258,8 @@ class LocalDistributions(Record):
         flat, start = _by_code(self.rows)
         for sets, rows in zip(self.sets[1:], self.rows[1:]):
             m = sets.shape[1]
-            for keep in _subsets(range(m), 1, m - 1):
+            for keep in itertools.chain.from_iterable(
+                    itertools.combinations(range(m), size) for size in range(1, m)):
                 other = tuple(1 + i for i in range(m) if i not in keep)
                 marginal = rows.reshape((-1,) + (2,) * m).sum(axis=other).reshape(len(rows), -1)
                 at = start[_parity_codes(sets[:, keep, None], len(self.vertices))[:, 0]]
@@ -302,19 +293,12 @@ def sa_from_distribution(dist: dict, n: int, level: int) -> LocalDistributions:
     return ld
 
 
-def _moment_vector(dist: dict, subset) -> np.ndarray:
-    """Character of ``subset`` over the sorted outcomes, weighted by the
-    square root of their probabilities."""
-    return np.array([math.sqrt(dist[sigma]) * math.prod(sigma[v] for v in subset)
-                     for sigma in sorted(dist)])
-
-
 def vectors_from_distribution(dist: dict) -> SdpSolution:
     """Unit-norm vectors whose Gram matrix realizes the pair moments of a
-    global distribution: coordinates indexed by outcomes, entry
+    global distribution: the singleton rows of its moment vectors, entry
     sqrt(p(sigma)) * sigma_x."""
     n = len(next(iter(dist)))
-    return SdpSolution(vectors=np.array([_moment_vector(dist, (x,)) for x in range(n)]))
+    return SdpSolution(vectors=lasserre_from_distribution(dist, n, 1).vectors[1:])
 
 
 def vectors_from_local_tables(ld: LocalDistributions, n: int) -> SdpSolution:
@@ -393,13 +377,21 @@ def lift_sherali_adams(ld: LocalDistributions, sol: SdpSolution,
 class SetVectorSolution(Record):
     """Level-t family of vectors indexed by vertex subsets (including the
     empty set), constrained so inner products depend only on the
-    symmetric difference of the index sets."""
+    symmetric difference of the index sets. Complete by construction: row
+    r of ``vectors`` (sets x length) belongs to the r-th set of 0..t of the
+    sorted ``vertices``, by size and then lexicographically."""
 
-    def __init__(self, level: int, vectors: dict):
-        vars(self).update(level=level, vectors=vectors)
+    def __init__(self, level: int, vertices: list, vectors: np.ndarray):
+        vars(self).update(level=level, vertices=vertices, vectors=vectors)
 
-    def subsets(self):
-        return sorted(self.vectors.keys(), key=lambda s: (len(s), s))
+    @functools.cached_property
+    def sets(self) -> list:
+        """The m-sets for m = 0..t as (C(n, m), m) arrays of positions in
+        ``vertices``, row r of lex rank r."""
+        n = len(self.vertices)
+        return [np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)),
+                            dtype=np.int64).reshape(math.comb(n, m), m)
+                for m in range(min(self.level, n) + 1)]
 
     def check_delta_consistency(self) -> float:
         """Max inner-product spread within a symmetric-difference class;
@@ -415,18 +407,22 @@ class SetVectorSolution(Record):
         block is reduced to per-class extremes, and the reductions are merged
         once they hold as many classes as the merged result, and at the end.
         """
-        keys = self.subsets()
-        vecs = np.stack([self.vectors[s] for s in keys])
+        vecs = self.vectors
         # each set gets the id of its vector's bytes
         index: dict = {}
         ids = np.array([index.setdefault(v.tobytes(), len(index)) for v in vecs])
         distinct = vecs[np.unique(ids, return_index=True)[1]]
-        # symmetric differences as XORs of packed membership words, one array each
-        words = list(np.packbits(_membership(keys), axis=1).view(np.uint64).T.copy())
-        rows = max(1, VERIFY_BLOCK_ENTRIES // len(keys))
+        # membership rows padded with zeros to whole 64-bit words, and one more
+        # column for the empty slots; symmetric differences as XORs of the
+        # packed words, one array each
+        width = max(1, -(-len(self.vertices) // 64)) * 64
+        member = np.zeros((len(vecs), width + 1), dtype=bool)
+        member[np.arange(len(vecs))[:, None], _padded(self.sets, width)] = True
+        words = list(np.packbits(member[:, :width], axis=1).view(np.uint64).T.copy())
+        rows = max(1, VERIFY_BLOCK_ENTRIES // len(vecs))
         parts = []
-        for r0 in range(0, len(keys), rows):
-            r1 = min(r0 + rows, len(keys))
+        for r0 in range(0, len(vecs), rows):
+            r1 = min(r0 + rows, len(vecs))
             own, at = np.unique(ids[r0:r1], return_inverse=True)
             # ids number the vectors by first row: columns below the least id from
             # r0 on are never read (all of them before r0 when no vector repeats)
@@ -435,11 +431,11 @@ class SetVectorSolution(Record):
             i, j = np.triu_indices(r1 - r0)
             parts.append(_class_extremes([w[r0 + i] ^ w[r0 + j] for w in words],
                                          gram[at[i], ids[r0 + j] - least]))
-            if r1 < len(keys):
+            if r1 < len(vecs):
                 parts.append(_class_extremes(
                     [(w[r0:r1, None] ^ w[None, r1:]).ravel() for w in words],
                     gram[at][:, ids[r1:] - least].ravel()))
-            if len(parts) > 1 and (r1 == len(keys) or sum(
+            if len(parts) > 1 and (r1 == len(vecs) or sum(
                     len(p[1]) for p in parts[1:]) >= len(parts[0][1])):
                 # each concatenation is an argument of its own, freed once sorted
                 parts = [_class_extremes(
@@ -450,16 +446,11 @@ class SetVectorSolution(Record):
         return max(0.0, float((high - low).max()))
 
 
-def _membership(keys) -> np.ndarray:
-    """Boolean (sets x elements) membership rows, the element columns
-    padded with zeros to a positive multiple of 64, so they pack into
-    whole 64-bit words."""
-    column: dict = {}
-    cols = [column.setdefault(v, len(column)) for s in keys for v in s]
-    width = max(1, -(-len(column) // 64)) * 64
-    member = np.zeros((len(keys), width), dtype=bool)
-    member[np.repeat(np.arange(len(keys)), [len(s) for s in keys]), cols] = True
-    return member
+def _padded(sets: list, fill: int) -> np.ndarray:
+    """The sets of every size in turn as one (sets x slots) array, the slots
+    past a set's size holding ``fill``."""
+    return np.concatenate([np.hstack([s, np.full((len(s), sets[-1].shape[1] - s.shape[1]), fill)])
+                           for s in sets])
 
 
 def _class_extremes(words: list, high, low=None):
@@ -498,12 +489,17 @@ def _parity_codes(coords: np.ndarray, n: int) -> np.ndarray:
 
 def lasserre_from_distribution(dist: dict, n: int, level: int) -> SetVectorSolution:
     """Moment vectors of a global distribution: index-set character values
-    weighted by sqrt of the probability.  Capped like
-    ``sa_from_distribution``."""
+    over the sorted outcomes, weighted by sqrt of their probabilities.
+    Capped like ``sa_from_distribution``."""
     _require_liftable(n, 0, level)
-    vectors = {subset: _moment_vector(dist, subset)
-               for subset in _subsets(range(n), 0, level)}
-    return SetVectorSolution(level=level, vectors=vectors)
+    outcomes = sorted(dist)
+    # an empty slot, n, reads the sign 1
+    signs = np.array([sigma + (1,) for sigma in outcomes], dtype=np.float64)
+    root = np.sqrt([dist[sigma] for sigma in outcomes])
+    ls = SetVectorSolution(level, list(range(n)),
+                           np.empty((_family_size(n, 0, level), len(outcomes))))
+    ls.vectors[:] = root * signs[:, _padded(ls.sets, n)].prod(axis=2).T
+    return ls
 
 
 def lift_lasserre(ls: SetVectorSolution, product: ProductGraph,
@@ -517,22 +513,18 @@ def lift_lasserre(ls: SetVectorSolution, product: ProductGraph,
     k, n = product.k, product.base.n
     _require_liftable(n, 0, level, k)
     # a level-0 family is the empty set alone and lists no vertex
-    vertices = _product_vertices(product) if level >= 1 else ()
-    subsets = _subsets(vertices, 0, level)
-    bases = [s for s in ls.vectors if len(s) <= level]
-    # every set padded to ``level`` slots with n, which is no base vertex
-    coords = np.array([s + ((n,) * k,) * (level - len(s)) for s in subsets],
-                      dtype=np.int64)
-    base_coords = np.array([s + (n,) * (level - len(s)) for s in bases], dtype=np.int64)
-    codes = _parity_codes(coords.reshape(len(subsets), level, k), n)
-    base_codes = _parity_codes(base_coords.reshape(len(bases), level, 1), n)[:, 0]
-    order = np.argsort(base_codes)
-    at = order[np.minimum(np.searchsorted(base_codes, codes, sorter=order), len(order) - 1)]
-    if (base_codes[at] != codes).any():
-        raise KeyError("a parity set of the lift has no base vector")
-    base = (1.0 / math.sqrt(k)) * np.stack([ls.vectors[s] for s in bases])
-    return SetVectorSolution(level=level, vectors=dict(zip(
-        subsets, base[at].reshape(len(subsets), -1))))
+    vertices = _product_vertices(product) if level >= 1 else []
+    # a complete family's codes number its sets 0..S-1: a table from code to row
+    row = np.empty(len(ls.vectors), dtype=np.int64)
+    row[_parity_codes(_padded(ls.sets, n)[:, :, None], n)[:, 0]] = np.arange(len(row))
+    base = (1.0 / math.sqrt(k)) * ls.vectors
+    lifted = SetVectorSolution(level, vertices, np.empty(
+        (_family_size(len(vertices), 0, level), k * base.shape[1])))
+    # the coordinates of each product vertex, then n in every coordinate of an empty slot
+    coords = np.array(vertices + [(n,) * k], dtype=np.int64)
+    lifted.vectors[:] = base[row[_parity_codes(coords[_padded(lifted.sets, len(vertices))], n)]
+                             ].reshape(len(lifted.vectors), -1)
+    return lifted
 
 
 # -- feasible-solution generators and file formats --------------------------------
@@ -585,7 +577,15 @@ def sdp_from_dict(data: dict) -> SdpSolution:
     vecs = np.asarray(data["vectors"], dtype=np.float64)
     if vecs.ndim != 2 or vecs.shape[1] != json_int(data["d"], "d"):
         raise ValueError("malformed SDP solution file")
+    _require_numbers(data["vectors"])
     return SdpSolution(vectors=vecs.copy())
+
+
+def _require_numbers(vectors):
+    """Refuse a string or a bool as a vector entry: numpy reads both as numbers."""
+    for vec in vectors:
+        for x in vec:
+            json_number(x, "a vector entry")
 
 
 def sa_to_dict(ld: LocalDistributions) -> dict:
@@ -632,13 +632,10 @@ def sa_from_dict(data: dict, n: int) -> LocalDistributions:
 
 
 def lasserre_to_dict(ls: SetVectorSolution) -> dict:
-    return {
-        "t": ls.level,
-        "sets": [
-            {"S": list(subset), "vec": [float(x) for x in ls.vectors[subset]]}
-            for subset in ls.subsets()
-        ],
-    }
+    sets = itertools.chain.from_iterable(s.tolist() for s in ls.sets)
+    return {"t": ls.level, "sets": [
+        {"S": [ls.vertices[v] for v in subset], "vec": vec}
+        for subset, vec in zip(sets, ls.vectors.tolist())]}
 
 
 def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
@@ -646,17 +643,19 @@ def lasserre_from_dict(data: dict, n: int) -> SetVectorSolution:
     subsets = [tuple(sorted(json_int(v, "a vertex") for v in entry["S"]))
                for entry in data["sets"]]
     _require_family(subsets, n, 0, level, "Lasserre")
-    vectors = {subset: np.asarray(entry["vec"], dtype=np.float64)
-               for subset, entry in zip(subsets, data["sets"])}
-    if len({vec.shape for vec in vectors.values()}) != 1 or not all(
-            vec.ndim == 1 and np.isfinite(vec).all() for vec in vectors.values()):
+    vectors = [np.asarray(entry["vec"], dtype=np.float64) for entry in data["sets"]]
+    if len({vec.shape for vec in vectors}) != 1 or not all(
+            vec.ndim == 1 and np.isfinite(vec).all() for vec in vectors):
         raise ValueError("Lasserre file must give every set a finite vector "
                          "of one common length")
+    _require_numbers(entry["vec"] for entry in data["sets"])
     # finite squared norms keep every inner product finite (Cauchy-Schwarz),
     # so no delta class can meet inf - inf
     with np.errstate(over="ignore"):
-        huge = [s for s, vec in vectors.items() if not math.isfinite(vec @ vec)]
+        huge = [s for s, vec in zip(subsets, vectors) if not math.isfinite(vec @ vec)]
     if huge:
         raise ValueError(f"Lasserre vector of S = {list(huge[0])} has a squared "
                          "norm that overflows")
-    return SetVectorSolution(level=level, vectors=vectors)
+    # each vector at its set's row: by size, then lexicographically
+    order = sorted(range(len(subsets)), key=lambda i: (len(subsets[i]), subsets[i]))
+    return SetVectorSolution(level, list(range(n)), np.stack(vectors)[order])

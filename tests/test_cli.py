@@ -390,9 +390,16 @@ _K2_SA = [{"T": [0], "probs": {"+": 0.5, "-": 0.5}},
       for big in (1e155, 1e200)],
     ("--sdp-file", {"d": 1, "vectors": [[1.0]]},
      "SDP file has 1 vectors for the 2 vertices of the base graph"),
+    # numpy reads a string or a bool as a number; a vector file may not hold one
+    ("--sdp-file", {"d": 1, "vectors": [["0.7071067811865476"], [-0.7071067811865476]]},
+     "malformed document in {path}: TypeError: a vector entry must be a number, "
+     "not '0.7071067811865476'"),
+    ("--lasserre-file", {"t": 1, "sets": [{"S": [], "vec": [1.0]}, {"S": [0], "vec": [True]},
+                                          {"S": [1], "vec": ["1.0"]}]},
+     "malformed document in {path}: TypeError: a vector entry must be a number, not True"),
 ], ids=["graph-list", "null-weight", "function-no-k", "function-wrong-k", "sa-list",
         "sa-nan", "sa-negative", "lasserre-nan", "lasserre-2d", "lasserre-1e155", "lasserre-1e200",
-        "sdp-one-vector"])
+        "sdp-one-vector", "sdp-string", "lasserre-bool-and-string"])
 def test_malformed_input_file_exit_one(tmp_path, capsys, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -566,16 +573,18 @@ def test_report_matches_saved_bytes(name, monkeypatch, capsys):
 @pytest.mark.parametrize("name", ["sdp-lift-files", "sdp-lift-level3-files"])
 def test_report_does_not_depend_on_the_order_of_sa_keys(name, tmp_path, monkeypatch,
                                                         capsys):
-    # a JSON object is unordered: the sign patterns of each table and the
-    # tables themselves, listed in another order, give the same report bytes
+    # a JSON object is unordered: the sign patterns of each table, the
+    # tables themselves and the Lasserre sets, listed in another order, give
+    # the same report bytes
     data = Path(__file__).parent / "data"
     argv = GOLDEN[name]
     sa_file = argv[argv.index("--sa-file") + 1]
-    for flag in ("--sdp-file", "--lasserre-file"):
-        if flag in argv:
-            (tmp_path / argv[argv.index(flag) + 1]).write_bytes(
-                (data / argv[argv.index(flag) + 1]).read_bytes())
+    lasserre_file = argv[argv.index("--lasserre-file") + 1]
+    if "--sdp-file" in argv:
+        sdp_file = argv[argv.index("--sdp-file") + 1]
+        (tmp_path / sdp_file).write_bytes((data / sdp_file).read_bytes())
     sa = json.loads((data / sa_file).read_text())
+    ls = json.loads((data / lasserre_file).read_text())
     monkeypatch.chdir(data)
     assert run(argv) == 0
     want = capsys.readouterr().out
@@ -587,6 +596,8 @@ def test_report_does_not_depend_on_the_order_of_sa_keys(name, tmp_path, monkeypa
             for entry in sa["dists"]]
         shuffled = {"t": sa["t"], "dists": [dists[i] for i in rng.permutation(len(dists))]}
         (tmp_path / sa_file).write_text(json.dumps(shuffled))
+        sets = [ls["sets"][i] for i in rng.permutation(len(ls["sets"]))]
+        (tmp_path / lasserre_file).write_text(json.dumps({"t": ls["t"], "sets": sets}))
         assert run(argv) == 0
         assert capsys.readouterr().out == want, seed
 

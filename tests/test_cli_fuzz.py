@@ -191,6 +191,11 @@ def test_any_arguments_keep_the_exit_code_contract(case):
     {"T": [1], "probs": {"+": 0.5, "-": 0.5}}]})
 @example(flag="--lasserre-file", data={"t": 1, "sets": [
     {"S": [], "vec": [1.0]}, {"S": [False], "vec": [1.0]}, {"S": [1], "vec": [1.0]}]})
+# vector entries that numpy would read as numbers
+@example(flag="--sdp-file", data={"d": 1, "vectors": [
+    ["0.7071067811865476"], [-0.7071067811865476]]})
+@example(flag="--lasserre-file", data={"t": 1, "sets": [
+    {"S": [], "vec": [1.0]}, {"S": [0], "vec": [True]}, {"S": [1], "vec": ["1.0"]}]})
 @example(flag="--graph", data={"n": 3, "edges": [[0.9, 1, 1.0], [True, 2, "2.5"]]})
 @example(flag="--graph", data={"n": 3.0, "edges": [[0, 1, 1.0], [1, 2, 1.0]]})
 @example(flag="--graph", data={"n": 3, "edges": [[0, 1, 1.0], [1, 2, True]]})

@@ -280,10 +280,10 @@ def test_lasserre_lift_quadruple_enumeration(k2):
     prod = bp.cartesian_power(k2, 2)
     dist = bp.uniform_cut_distribution(2, (0,))
     ls = bp.lasserre_from_distribution(dist, 2, 2)
-    lifted = bp.lift_lasserre(ls, prod, 2)
-    keys = lifted.subsets()
+    vectors = _by_set(bp.lift_lasserre(ls, prod, 2))
+    keys = list(vectors)
     inner = {
-        (a, b): float(np.dot(lifted.vectors[a], lifted.vectors[b]))
+        (a, b): float(np.dot(vectors[a], vectors[b]))
         for a in keys for b in keys
     }
     quads = 0
@@ -304,11 +304,11 @@ def test_lasserre_singleton_objective_scaling(k2):
     dense = prod.to_weighted_graph()
     dist = bp.uniform_cut_distribution(2, (0,))
     ls = bp.lasserre_from_distribution(dist, 2, 2)
-    lifted = bp.lift_lasserre(ls, prod, 2)
-    base_vecs = np.stack([ls.vectors[(v,)] for v in range(2)])
+    lifted = _by_set(bp.lift_lasserre(ls, prod, 2))
+    base_vecs = np.stack([_by_set(ls)[(v,)] for v in range(2)])
     base_obj = bp.SdpSolution(vectors=base_vecs).objective(k2)
     lifted_vecs = np.stack([
-        lifted.vectors[(tup,)] for tup in itertools.product(range(2), repeat=2)
+        lifted[(tup,)] for tup in itertools.product(range(2), repeat=2)
     ])
     lifted_obj = bp.SdpSolution(vectors=lifted_vecs).objective(dense)
     assert math.isclose(lifted_obj, base_obj / 2.0, abs_tol=1e-9)
@@ -318,8 +318,8 @@ def test_lasserre_singleton_projection(k2):
     ls = bp.lasserre_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 1)
     lifted = bp.lift_lasserre(ls, bp.cartesian_power(k2, 3), 1)
     assert parity_projection([(0, 1, 1)], 2) == frozenset({1})
-    want = np.concatenate([(1.0 / math.sqrt(3)) * ls.vectors[(v,)] for v in (0, 1, 1)])
-    assert lifted.vectors[((0, 1, 1),)].tolist() == want.tolist()
+    want = np.concatenate([(1.0 / math.sqrt(3)) * _by_set(ls)[(v,)] for v in (0, 1, 1)])
+    assert _by_set(lifted)[((0, 1, 1),)].tolist() == want.tolist()
 
 
 def test_lasserre_level_mismatch(k2):
@@ -341,11 +341,18 @@ def test_sdp_file_roundtrip(tmp_path, k2):
     ld2 = sa_from_dict(sa_to_dict(ld), 2)
     assert ld2.level == 2
     assert ld2.tables[(0, 1)].tolist() == ld.tables[(0, 1)].tolist()
-    ls = bp.lasserre_from_distribution(dist, 2, 2)
-    ls2 = lasserre_from_dict(lasserre_to_dict(ls), 2)
-    assert set(ls2.vectors) == set(ls.vectors)
-    for key, vec in ls.vectors.items():
-        assert np.allclose(ls2.vectors[key], vec)
+    # K2 at level 2, and 5 vertices at level 3, where the lex listing of the
+    # rows is not the colex one: the same sets, and rows with the same bits
+    for ls in (bp.lasserre_from_distribution(dist, 2, 2),
+               _random_set_vectors(np.random.default_rng(9), 5, 3, 4)):
+        n = len(ls.vertices)
+        data = lasserre_to_dict(ls)
+        assert [tuple(e["S"]) for e in data["sets"]] == list(_by_set(ls)) \
+            == [s for m in range(ls.level + 1) for s in itertools.combinations(range(n), m)]
+        ls2 = lasserre_from_dict(data, n)
+        assert ls2.level == ls.level
+        assert [(s, v.tobytes()) for s, v in _by_set(ls2).items()] \
+            == [(s, v.tobytes()) for s, v in _by_set(ls).items()]
 
 
 def test_sdp_malformed_file_rejected(tmp_path):
@@ -496,13 +503,20 @@ def _marginal_gap_loop(ld, nested=False):
     return worst
 
 
+def _by_set(ls):
+    """Each row of a Lasserre family, keyed by the sorted tuple of its set's
+    vertices, in row order."""
+    sets = [tuple(ls.vertices[v] for v in s) for sizes in ls.sets for s in sizes.tolist()]
+    return dict(zip(sets, ls.vectors))
+
+
 def _delta_gap_loop(ls):
     groups = {}
-    keys = ls.subsets()
-    for s1 in keys:
-        for s2 in keys:
+    rows = _by_set(ls).items()
+    for s1, v1 in rows:
+        for s2, v2 in rows:
             delta = tuple(sorted(set(s1) ^ set(s2)))
-            val = float(np.dot(ls.vectors[s1], ls.vectors[s2]))
+            val = float(np.dot(v1, v2))
             groups.setdefault(delta, []).append(val)
     worst = 0.0
     for vals in groups.values():
@@ -525,10 +539,10 @@ def _random_tables(rng, n, level):
 
 
 def _random_set_vectors(rng, n, level, length):
-    vectors = {subset: rng.standard_normal(length)
-               for size in range(level + 1)
-               for subset in itertools.combinations(range(n), size)}
-    return bp.SetVectorSolution(level=level, vectors=vectors)
+    rows = [rng.standard_normal(length)
+            for size in range(level + 1)
+            for subset in itertools.combinations(range(n), size)]
+    return bp.SetVectorSolution(level, list(range(n)), np.array(rows))
 
 
 @pytest.fixture(params=[None, 1], ids=["blocked", "one-row-blocks"])
@@ -603,7 +617,7 @@ def test_lifted_delta_gap_equals_pairwise_loop(block_entries, length, k2, k3):
         ls = _random_set_vectors(rng, base.n, level, length)
         lifted = bp.lift_lasserre(ls, bp.cartesian_power(base, k), level)
         gap = lifted.check_delta_consistency()
-        assert isinstance(lifted.subsets()[-1][0], tuple)
+        assert isinstance(lifted.vertices[-1], tuple)
         assert gap > 0.0
         assert gap == _delta_gap_loop(lifted)
 
@@ -613,8 +627,8 @@ def test_delta_gap_near_consistent_vectors(block_entries):
     rng = np.random.default_rng(7)
     dist = bp.uniform_cut_distribution(3, (0, 2))
     ls = bp.lasserre_from_distribution(dist, 3, 2)
-    for subset, vec in ls.vectors.items():
-        ls.vectors[subset] = vec + 1e-12 * rng.standard_normal(vec.shape)
+    for row in ls.vectors:
+        row += 1e-12 * rng.standard_normal(row.shape)
     lifted = bp.lift_lasserre(ls, bp.cartesian_power(bp.complete_graph(3), 2), 2)
     gap = lifted.check_delta_consistency()
     assert 0.0 < gap < 1e-9
@@ -622,16 +636,16 @@ def test_delta_gap_near_consistent_vectors(block_entries):
 
 
 def test_delta_gap_over_two_membership_words(block_entries):
-    # every singleton of 70 elements and the pairs of 60..69: the symmetric
-    # differences span two packed words, and classes cross the word boundary
-    from boxprod.sdp import _membership
-
+    # the sets of at most one of 70 vertices: a difference {a, b} with
+    # a < 64 <= b spans both packed words. Norms within 1e-9 of 1 keep the
+    # gap of the one class of many pairs (the empty difference) tiny, so
+    # two classes merged across the word boundary would show
     rng = np.random.default_rng(3)
-    sets = [()] + [(v,) for v in range(70)] + list(itertools.combinations(range(60, 70), 2))
-    ls = bp.SetVectorSolution(level=2, vectors={s: rng.standard_normal(5) for s in sets})
-    assert _membership(ls.subsets()).shape[1] == 128
+    vecs = rng.standard_normal((71, 5))
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True) / (1.0 + 1e-9 * rng.random((71, 1)))
+    ls = bp.SetVectorSolution(1, list(range(70)), vecs / norms)
     gap = ls.check_delta_consistency()
-    assert gap > 0.0
+    assert 0.0 < gap < 1e-8
     assert gap == _delta_gap_loop(ls)
 
 
@@ -654,8 +668,8 @@ def test_delta_gram_stays_within_the_block_budget(monkeypatch, entries, k3):
     rng = np.random.default_rng(5)
     shared = bp.lift_lasserre(_random_set_vectors(rng, 3, 2, 3), bp.cartesian_power(k3, 2), 2)
     distinct = _random_set_vectors(rng, 6, 3, 4)
-    assert len({v.tobytes() for v in shared.vectors.values()}) < len(shared.vectors)
-    assert len({v.tobytes() for v in distinct.vectors.values()}) == len(distinct.vectors)
+    assert len({v.tobytes() for v in shared.vectors}) < len(shared.vectors)
+    assert len({v.tobytes() for v in distinct.vectors}) == len(distinct.vectors)
     for ls in (shared, distinct):
         sizes.clear()
         monkeypatch.setattr(np, "vecdot", counted)
@@ -743,8 +757,9 @@ def _sa_lift_loop(ld, n, k):
 def _lasserre_lift_loop(ls, n, k, level):
     """Lifted vectors with one parity set per set and coordinate."""
     scale = 1.0 / math.sqrt(k)
+    base = _by_set(ls)
     return {subset: np.concatenate([
-        scale * ls.vectors[tuple(sorted(parity_projection(subset, j)))]
+        scale * base[tuple(sorted(parity_projection(subset, j)))]
         for j in range(k)]) for subset in _product_family(n, k, 0, level)}
 
 
@@ -771,15 +786,8 @@ def test_lasserre_lift_vectors_equal_the_per_set_loop(graph, k, base_level, leve
     ls = _random_set_vectors(rng, base.n, base_level, 3)
     lifted = bp.lift_lasserre(ls, bp.cartesian_power(base, k), level)
     want = _lasserre_lift_loop(ls, base.n, k, level)
-    assert [(s, v.tobytes()) for s, v in lifted.vectors.items()] \
+    assert [(s, v.tobytes()) for s, v in _by_set(lifted).items()] \
         == [(s, v.tobytes()) for s, v in want.items()]
-
-
-def test_lasserre_lift_without_a_base_set_refused(k2):
-    ls = bp.lasserre_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 2)
-    del ls.vectors[(0, 1)]
-    with pytest.raises(KeyError, match="no base vector"):
-        bp.lift_lasserre(ls, bp.cartesian_power(k2, 2), 2)
 
 
 # -- the set cap of both lifts --------------------------------------------------
@@ -797,7 +805,7 @@ def test_both_lifts_refuse_over_the_set_cap(k2):
             bp.lift_lasserre(bp.lasserre_from_distribution(dist, 2, level), prod, level)
     # level 0 holds the empty set alone, whatever the product
     ls = bp.lasserre_from_distribution(dist, 2, 0)
-    assert list(bp.lift_lasserre(ls, bp.cartesian_power(k2, 15), 0).vectors) == [()]
+    assert list(_by_set(bp.lift_lasserre(ls, bp.cartesian_power(k2, 15), 0))) == [()]
 
 
 def _unbuilt(*args, **kwargs):
@@ -809,7 +817,7 @@ def test_level_one_sa_lift_builds_no_gram_and_no_membership(monkeypatch, k2):
     from boxprod import sdp
 
     monkeypatch.setattr(sdp.SdpSolution, "gram", _unbuilt)
-    monkeypatch.setattr(sdp, "_membership", _unbuilt)
+    monkeypatch.setattr(np, "packbits", _unbuilt)
     dist = bp.uniform_cut_distribution(2, (0,))
     lifted, lifted_sol, marginal_gap, vector_gap = bp.lift_sherali_adams(
         bp.sa_from_distribution(dist, 2, 1), bp.vectors_from_distribution(dist),
@@ -825,9 +833,9 @@ def test_level_zero_lasserre_lift_lists_no_vertex(monkeypatch, k2, k):
     monkeypatch.setattr(sdp, "_product_vertices", _unbuilt)
     ls = bp.lasserre_from_distribution(bp.uniform_cut_distribution(2, (0,)), 2, 0)
     lifted = bp.lift_lasserre(ls, bp.cartesian_power(k2, k), 0)
-    assert list(lifted.vectors) == [()]
-    want = np.concatenate([(1.0 / math.sqrt(k)) * ls.vectors[()]] * k)
-    assert lifted.vectors[()].tolist() == want.tolist()
+    assert list(_by_set(lifted)) == [()]
+    want = np.concatenate([(1.0 / math.sqrt(k)) * _by_set(ls)[()]] * k)
+    assert _by_set(lifted)[()].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("lift", ["sa", "lasserre"])
